@@ -82,10 +82,6 @@ BenchReport::BenchReport(std::string name, std::string title)
         static_cast<std::uint64_t>(cfg.obs.lineage_sample_shift);
     config["obs"] = obs;
   }
-  // Memory-plane knobs (pinning / arenas / huge pages) likewise: the fig6
-  // NUMA A/B baselines differ only in this block, and bench-compare refuses
-  // to diff reports whose config blocks disagree unless forced.
-  config["memory"] = memory_config_json();
   doc_["config"] = std::move(config);
   doc_["runs"] = Json::array();
 }
@@ -139,9 +135,8 @@ Json engine_obs_json(const Engine& engine) {
   for (const char* key : {"counters", "update_latency", "phases", "lineage", "prof"})
     if (const Json* sec = full.find(key)) out[key] = *sec;
   out["gauges"] = engine.sample_gauges().to_json(/*include_per_rank=*/false);
-  // Achieved memory-plane state (page backing tier, degradation) — the
-  // config block records what was *asked*; this records what was *got*.
-  out["memory"] = engine.memory_plane().to_json();
+  // Achieved arena state (page backing tier, reserved/allocated bytes).
+  out["memory"] = engine.memory_json();
   return out;
 }
 
@@ -171,38 +166,6 @@ void apply_obs_env(EngineConfig& cfg) {
     else if (name == "auto")
       cfg.obs.prof_backend = obs::ProfBackendKind::kAuto;
   }
-}
-
-void apply_memory_env(EngineConfig& cfg) {
-  if (const char* p = std::getenv("REMO_PINNING"); p && *p) {
-    PinningMode mode;
-    if (parse_pinning_mode(p, &mode))
-      cfg.pinning = mode;
-    else
-      std::fprintf(stderr, "bench: unknown REMO_PINNING mode '%s' (ignored)\n", p);
-  }
-  if (const char* on = std::getenv("REMO_ARENAS"); on && *on && *on != '0')
-    cfg.memory.arenas = true;
-  if (const char* hp = std::getenv("REMO_HUGEPAGES"); hp && *hp && *hp == '0')
-    cfg.memory.huge_pages = false;
-  if (const char* nb = std::getenv("REMO_NUMA_BIND"); nb && *nb && *nb == '0')
-    cfg.memory.numa_bind = false;
-  if (const char* c = std::getenv("REMO_ARENA_CHUNK_BYTES")) {
-    const long long n = std::atoll(c);
-    if (n > 0) cfg.memory.arena_chunk_bytes = static_cast<std::size_t>(n);
-  }
-}
-
-Json memory_config_json() {
-  EngineConfig cfg;
-  apply_memory_env(cfg);
-  Json j = Json::object();
-  j["pinning"] = pinning_mode_name(cfg.pinning);
-  j["arenas"] = cfg.memory.arenas;
-  j["huge_pages"] = cfg.memory.huge_pages;
-  j["numa_bind"] = cfg.memory.numa_bind;
-  j["arena_chunk_bytes"] = static_cast<std::uint64_t>(cfg.memory.arena_chunk_bytes);
-  return j;
 }
 
 void apply_comm_env(EngineConfig& cfg) {

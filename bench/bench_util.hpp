@@ -80,21 +80,6 @@ void apply_comm_env(EngineConfig& cfg);
 /// The comm knobs as resolved by apply_comm_env on a default config.
 Json comm_config_json();
 
-/// Apply the memory-plane env knobs (the fig6 NUMA locality A/B sweeps):
-///   REMO_PINNING           rank-to-core pinning: "none" (default) |
-///                          "compact" | "scatter" | "numa-spread"
-///   REMO_ARENAS            "1" routes storage + mailbox rings through the
-///                          per-rank huge-page arenas ("0"/unset: heap)
-///   REMO_HUGEPAGES         "0" skips the hugetlb/THP tiers (plain pages)
-///   REMO_NUMA_BIND         "0" skips mbind (first-touch only)
-///   REMO_ARENA_CHUNK_BYTES arena chunk size in bytes (default 8 MiB)
-/// Every BenchReport records the resolved values in config.memory so the
-/// committed BENCH_fig6_numa_{off,on}.json arms are self-describing.
-void apply_memory_env(EngineConfig& cfg);
-
-/// The memory knobs as resolved by apply_memory_env on a default config.
-Json memory_config_json();
-
 /// When $REMO_LINEAGE_OUT is set and `engine` has lineage tracing on, dump
 /// the merged remo-lineage-1 snapshot there for `remo_cli trace-analyze`.
 /// Call at quiescence (after ingest returns). No-op otherwise.
@@ -144,7 +129,6 @@ SaturationResult measure_saturation(const EdgeList& edges, RankId ranks, int rep
     cfg.undirected = undirected;
     apply_obs_env(cfg);
     apply_comm_env(cfg);
-    apply_memory_env(cfg);
     Engine engine(cfg);
     setup(engine);
     const auto exporter = exporter_from_env(engine);

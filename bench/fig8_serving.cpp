@@ -97,7 +97,6 @@ int main() {
 
   BenchReport report("fig8_serving", "Live query serving under ingest");
   report.doc()["config"] = comm_config_json();
-  report.doc()["config"]["memory"] = memory_config_json();
   report.doc()["config"]["queries"] = query_target;
   report.doc()["config"]["readers"] = reader_count;
   report.doc()["config"]["scale"] = scale;

@@ -61,9 +61,8 @@
 #include "core/static_on_dynamic.hpp"
 #include "core/vertex_program.hpp"
 
-// Memory & locality plane (huge-page arenas, NUMA topology, rank pinning)
+// Per-rank THP arenas (the engine's allocator for storage and mailbox rings)
 #include "runtime/memory.hpp"
-#include "runtime/topology.hpp"
 
 // Query serving plane (epoch-consistent reads, conflict-scheduled writes)
 #include "runtime/conflict.hpp"

@@ -182,6 +182,8 @@ std::string Json::dump(int indent) const {
 namespace {
 
 struct Parser {
+  explicit Parser(std::string_view t) : text(t) {}
+
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
@@ -433,7 +435,7 @@ struct Parser {
 }  // namespace
 
 Json Json::parse(std::string_view text, std::string* error) {
-  Parser p{text};
+  Parser p(text);
   Json out;
   if (!p.parse_value(out)) {
     if (error) *error = p.error;

@@ -63,9 +63,10 @@ void VertexContext::set_value(StateWord v) {
   const StateWord* c = pr.cur.find(vertex_);
   const StateWord old_val = c ? *c : identity;
   // Copy-on-first-new-epoch-write (Section III-D): freeze S_prev before a
-  // new-epoch cause mutates the shared state.
+  // new-epoch cause mutates the shared state — until this rank's share of
+  // the cut has been harvested.
   if (eng.versioned_collection_active() && epoch_ == eng.current_epoch() &&
-      !pr.prev.contains(vertex_))
+      rt_->harvested_epoch != epoch_ && !pr.prev.contains(vertex_))
     pr.prev.insert_or_assign(vertex_, old_val);
   pr.cur.insert_or_assign(vertex_, v);
   detail::fire_triggers(pr, vertex_, old_val, v);
@@ -143,24 +144,29 @@ void VertexContext::send_probe_all_nbrs() {
 namespace {
 constexpr auto kPollInterval = std::chrono::microseconds(50);
 
-std::vector<Arena*> rank_arenas(const MemoryPlane& plane, RankId num_ranks) {
-  std::vector<Arena*> out(num_ranks, nullptr);
-  for (RankId r = 0; r < num_ranks; ++r) out[r] = plane.rank_arena(r);
+std::vector<std::unique_ptr<Arena>> make_arenas(RankId num_ranks) {
+  std::vector<std::unique_ptr<Arena>> out;
+  out.reserve(num_ranks);
+  for (RankId r = 0; r < num_ranks; ++r) out.push_back(std::make_unique<Arena>());
+  return out;
+}
+
+std::vector<Arena*> arena_ptrs(const std::vector<std::unique_ptr<Arena>>& arenas) {
+  std::vector<Arena*> out;
+  out.reserve(arenas.size());
+  for (const auto& arena : arenas) out.push_back(arena.get());
   return out;
 }
 }  // namespace
 
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
-      memory_plane_(cfg.memory, cfg.pinning, cfg.num_ranks),
+      arenas_(make_arenas(cfg.num_ranks)),
       part_(cfg.num_ranks, cfg.partition),
       comm_(cfg.num_ranks, cfg.batch_size, cfg.mailbox_ring_capacity,
-            rank_arenas(memory_plane_, cfg.num_ranks)),
+            arena_ptrs(arenas_)),
       safra_(cfg.num_ranks) {
   REMO_CHECK(cfg_.num_ranks > 0);
-  // Anything the memory plane could not deliver (hugetlb tier, NUMA bind,
-  // pin slots) is announced up front — degraded, never silent.
-  memory_plane_.print_banner_once();
   trace_base_ns_ = obs::monotonic_ns();
   const bool tracing = cfg_.obs.trace && obs::kTraceCompiledIn;
   if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
@@ -183,8 +189,7 @@ Engine::Engine(EngineConfig cfg)
   }
   ranks_.reserve(cfg_.num_ranks);
   for (RankId r = 0; r < cfg_.num_ranks; ++r) {
-    auto rt = std::make_unique<detail::RankRuntime>(cfg_.store,
-                                                    memory_plane_.rank_arena(r));
+    auto rt = std::make_unique<detail::RankRuntime>(cfg_.store, arenas_[r].get());
     rt->engine = this;
     rt->comm = &comm_;
     rt->safra = &safra_;
@@ -905,6 +910,21 @@ std::size_t Engine::store_memory_bytes() const {
   std::size_t n = 0;
   for (const auto& rt : ranks_) n += rt->store.memory_bytes();
   return n;
+}
+
+Json Engine::memory_json() const {
+  PageBacking worst = PageBacking::kThp;
+  std::uint64_t reserved = 0, allocated = 0;
+  for (const auto& arena : arenas_) {
+    worst = std::max(worst, arena->backing());
+    reserved += arena->reserved_bytes();
+    allocated += arena->allocated_bytes();
+  }
+  Json j = Json::object();
+  j["page_backing"] = page_backing_name(worst);
+  j["arena_reserved_bytes"] = reserved;
+  j["arena_allocated_bytes"] = allocated;
+  return j;
 }
 
 }  // namespace remo

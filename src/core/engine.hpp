@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/types.hpp"
 #include "core/engine_config.hpp"
 #include "core/query.hpp"
@@ -36,6 +37,7 @@
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
+#include "runtime/memory.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/partitioner.hpp"
 #include "runtime/safra.hpp"
@@ -256,10 +258,10 @@ class Engine {
 
   const Partitioner& partitioner() const noexcept { return part_; }
 
-  /// The locality plane: topology snapshot, pin plan, per-rank arenas
-  /// (DESIGN.md "Memory & locality"). Its to_json() block rides along in
-  /// BENCH reports so A/B locality evidence is self-describing.
-  const MemoryPlane& memory_plane() const noexcept { return memory_plane_; }
+  /// The `memory` block of `--stats-json` and BENCH reports: the weakest
+  /// page backing any rank arena achieved, plus reserved and cumulative
+  /// allocated arena bytes summed over ranks (DESIGN.md §7).
+  Json memory_json() const;
 
   /// True while a versioned collection is splitting state (internal, but
   /// harmless to observe).
@@ -327,10 +329,11 @@ class Engine {
   Snapshot harvest(ProgramId p);
 
   EngineConfig cfg_;
-  // Declared before comm_ and ranks_ (and thus destroyed after them):
-  // arena chunks must outlive every container that bump-allocated from
-  // them — mailbox rings, storage shards (ASan-audited teardown order).
-  MemoryPlane memory_plane_;
+  // One arena per rank, backing that rank's storage shard and inbound
+  // mailbox rings. Declared before comm_ and ranks_ (and thus destroyed
+  // after them): arena chunks must outlive every container that
+  // allocated from them (ASan-audited teardown order).
+  std::vector<std::unique_ptr<Arena>> arenas_;
   Partitioner part_;
   Comm comm_;
   SafraRing safra_;

@@ -120,6 +120,12 @@ struct RankRuntime {
   // at a loop-iteration boundary.
   std::atomic<std::uint16_t> epoch_seen{0};
 
+  // Epoch at which this rank last harvested (rank thread only). Once a
+  // versioned collection has harvested the rank, its cut is taken: a
+  // new-epoch write must not freeze S_prev any more, or the split would
+  // outlive the collection and the next one would read it as its cut value.
+  std::uint16_t harvested_epoch = 0;
+
   // Safra token currently held (if any).
   bool holds_token = false;
   bool token_parked = false;  // restart throttling: forward after one park
@@ -144,8 +150,7 @@ struct RankRuntime {
   std::vector<MergeSlot> merge_slots;
   std::uint32_t merge_stamp = 0;
 
-  explicit RankRuntime(StoreConfig store_cfg, Arena* arena = nullptr)
-      : store(store_cfg, arena) {}
+  RankRuntime(StoreConfig store_cfg, Arena* arena) : store(store_cfg, arena) {}
 
   /// Route a visitor to the owner of its target vertex. Taken by value:
   /// when lineage tracing is on, visitors emitted while a caused visitor

@@ -363,6 +363,7 @@ void Engine::do_harvest(detail::RankRuntime& rt, ProgramId p) {
   // Retire every program's S_prev: the epoch is over for the whole engine,
   // and stale splits would poison the next collection.
   for (auto& each : rt.progs) each.prev.clear();
+  rt.harvested_epoch = epoch_.load(std::memory_order_acquire);
   if (obs_on) {
     const std::uint64_t dt = obs_now() - t0;
     rt.obs_control_ns += dt;
@@ -527,11 +528,6 @@ void Engine::absorb_pending_triggers(detail::RankRuntime& rt) {
 
 void Engine::rank_main(RankId r) {
   detail::RankRuntime& rt = *ranks_[r];
-  // Apply the pin plan before any allocation or counter attach: first-touch
-  // placement of thread-local state should happen on the planned core, and
-  // perf counter fds inherit this thread's CPU affinity.
-  if (cfg_.pinning != PinningMode::kNone)
-    pin_current_thread(memory_plane_.plan().slots[r].cpu);
   std::vector<Visitor> batch;
   std::uint32_t passive_streak = 0;  // consecutive no-work iterations
   // Loop-pacing RNG (chaos delays). By default a fixed per-rank seed; the
@@ -747,6 +743,7 @@ void Engine::rank_main(RankId r) {
           rt.lineage->record_origin(vis.cause, obs_now());
         }
         did_work = true;
+        bool drained = false;
         if (part_.owner(vis.target) == r) {
           comm_.note_injected(iter_epoch, r);
           // Ingest-watermark bump AFTER the in-flight increment (release
@@ -756,7 +753,7 @@ void Engine::rank_main(RankId r) {
           rt.gauges.events_ingested.store(
               rt.gauges.events_ingested.load(std::memory_order_relaxed) + 1,
               std::memory_order_release);
-          rt.stream_remaining.fetch_sub(1, std::memory_order_release);
+          drained = rt.stream_remaining.fetch_sub(1, std::memory_order_release) == 1;
           process_one(vis);
           comm_.note_processed(iter_epoch, r);
         } else {
@@ -764,7 +761,13 @@ void Engine::rank_main(RankId r) {
           rt.gauges.events_ingested.store(
               rt.gauges.events_ingested.load(std::memory_order_relaxed) + 1,
               std::memory_order_release);
-          rt.stream_remaining.fetch_sub(1, std::memory_order_release);
+          drained = rt.stream_remaining.fetch_sub(1, std::memory_order_release) == 1;
+        }
+        // Once the main thread sees zero remaining it may clear `streams`:
+        // touch no cursor after the last decrement.
+        if (drained) {
+          ++pulled;
+          break;
         }
       }
       if (did_work) {

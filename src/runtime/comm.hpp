@@ -58,9 +58,9 @@ class Comm {
     CombineFn fn = nullptr;
   };
 
-  /// `arenas` (optional, one per rank) back the inbound mailbox rings:
+  /// `arenas` (one per rank; empty: heap) back the inbound mailbox rings:
   /// rank r's mailbox — which r alone drains — allocates its slot arrays
-  /// from arenas[r], i.e. on the consumer's NUMA node.
+  /// from arenas[r], the consumer's arena.
   explicit Comm(RankId num_ranks, std::size_t batch_size = 128,
                 std::size_t ring_capacity = 16384,
                 const std::vector<Arena*>& arenas = {})

@@ -50,10 +50,10 @@ class Mailbox {
   /// configuration standalone tests use.
   ///
   /// `arena` (optional) backs the ring slot arrays. The mailbox belongs to
-  /// its consumer, so passing the *consumer rank's* node-bound arena puts
-  /// every ring on the node that drains it — the consumer walks all
-  /// producers' rings each drain() while each producer writes its one ring
-  /// once, so consumer-side placement wins (DESIGN.md "Memory & locality").
+  /// its consumer, so the engine passes the *consumer rank's* arena — the
+  /// consumer walks all producers' rings each drain() while each producer
+  /// writes its one ring once, so consumer-side placement wins (DESIGN.md
+  /// §7).
   explicit Mailbox(RankId producers = 0, std::size_t ring_capacity = 16384,
                    Arena* arena = nullptr) {
     std::size_t cap = 8;

@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "common/assert.hpp"
-#include "common/strfmt.hpp"
 
 #if defined(__linux__)
 #include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
+#endif
+
+#if defined(__has_include)
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace remo {
@@ -23,24 +29,10 @@ std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) & ~(align - 1);
 }
 
-#if defined(__linux__)
-/// Bind a fresh mapping to one NUMA node via the raw syscall (no libnuma).
-/// Best effort: EPERM/ENOSYS/1-node hosts just leave first-touch placement.
-void bind_to_node(void* base, std::size_t len, int node) {
-  if (node < 0 || node >= 64) return;
-  constexpr int kMpolBind = 2;  // MPOL_BIND (numaif.h, not always packaged)
-  unsigned long nodemask = 1UL << node;
-  // maxnode counts bits and the kernel wants one past the highest set bit.
-  syscall(SYS_mbind, base, len, kMpolBind, &nodemask,
-          static_cast<unsigned long>(node + 2), 0UL);
-}
-#endif
-
 }  // namespace
 
 const char* page_backing_name(PageBacking backing) {
   switch (backing) {
-    case PageBacking::kExplicitHuge: return "hugetlb";
     case PageBacking::kThp: return "thp";
     case PageBacking::kPlain: return "plain";
     case PageBacking::kHeap: return "heap";
@@ -48,14 +40,11 @@ const char* page_backing_name(PageBacking backing) {
   return "heap";
 }
 
-Arena::Arena(ArenaConfig cfg) : cfg_(cfg) {
-  if (cfg_.chunk_bytes < kHugePageBytes) cfg_.chunk_bytes = kHugePageBytes;
-  cfg_.chunk_bytes = round_up(cfg_.chunk_bytes, kHugePageBytes);
-  // Map the first chunk eagerly so the achieved backing tier is known at
-  // construction — MemoryPlane's banner must print before ingest starts,
-  // not on the first allocation mid-run.
+Arena::Arena() {
+  // Map the first chunk eagerly so the achieved backing tier is known (and
+  // reportable) before the first allocation.
   std::lock_guard<std::mutex> lock(mutex_);
-  chunks_.push_back(map_chunk(cfg_.chunk_bytes));
+  chunks_.push_back(map_chunk(kChunkBytes));
 }
 
 Arena::~Arena() {
@@ -66,25 +55,13 @@ Arena::Chunk Arena::map_chunk(std::size_t bytes) {
   Chunk chunk;
   chunk.size = round_up(bytes, kHugePageBytes);
 #if defined(__linux__)
-  void* base = MAP_FAILED;
-  if (cfg_.use_huge_pages) {
-    base = mmap(nullptr, chunk.size, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (base != MAP_FAILED) chunk.backing = PageBacking::kExplicitHuge;
-  }
-  if (base == MAP_FAILED) {
-    base = mmap(nullptr, chunk.size, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base != MAP_FAILED) {
-      chunk.backing = PageBacking::kPlain;
-      if (cfg_.use_huge_pages &&
-          madvise(base, chunk.size, MADV_HUGEPAGE) == 0)
-        chunk.backing = PageBacking::kThp;
-    }
-  }
+  void* base = mmap(nullptr, chunk.size, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (base != MAP_FAILED) {
     chunk.base = base;
-    bind_to_node(base, chunk.size, cfg_.numa_node);
+    chunk.backing = madvise(base, chunk.size, MADV_HUGEPAGE) == 0
+                        ? PageBacking::kThp
+                        : PageBacking::kPlain;
   }
 #endif
   if (chunk.base == nullptr) {
@@ -93,13 +70,16 @@ Arena::Chunk Arena::map_chunk(std::size_t bytes) {
     chunk.base = ::operator new(chunk.size, std::align_val_t{kHugePageBytes});
     chunk.backing = PageBacking::kHeap;
   }
-  worst_backing_ = std::max(worst_backing_, chunk.backing);
-  any_chunk_ = true;
+  // Nothing in a fresh chunk is handed out yet; allocate() unpoisons.
+  ASAN_POISON_MEMORY_REGION(chunk.base, chunk.size);
   return chunk;
 }
 
 void Arena::unmap_chunk(Chunk& chunk) noexcept {
   if (chunk.base == nullptr) return;
+  // The address range may be reused by the next mapping; leave its shadow
+  // clean.
+  ASAN_UNPOISON_MEMORY_REGION(chunk.base, chunk.size);
 #if defined(__linux__)
   if (chunk.backing != PageBacking::kHeap) {
     munmap(chunk.base, chunk.size);
@@ -126,13 +106,17 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   REMO_CHECK_MSG(align != 0 && (align & (align - 1)) == 0,
                  "arena alignment must be a power of two");
   if (bytes == 0) bytes = 1;
+  const std::size_t requested = bytes;
   std::lock_guard<std::mutex> lock(mutex_);
   if (const std::size_t cls = class_log2(bytes, align); cls != 0) {
     if (void* head = free_lists_[cls]) {
-      // Reuse beats fresh pages: the recycled block is cache-warm, already
-      // faulted in, and (when mbind applies) already on this arena's node.
+      // Reuse beats fresh pages: the recycled block is cache-warm and
+      // already faulted in.
       free_lists_[cls] = *static_cast<void**>(head);
       allocated_ += std::size_t{1} << cls;
+      // deallocate() left the link word addressable; close it again.
+      ASAN_POISON_MEMORY_REGION(head, sizeof(void*));
+      ASAN_UNPOISON_MEMORY_REGION(head, requested);
       return head;
     }
     // Carve the full class size so the block can round-trip through the
@@ -146,29 +130,39 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
     // Exhausted: oversized requests get a dedicated chunk, normal ones a
     // fresh standard chunk. Old chunks keep their bump memory (live
     // container storage) until arena destruction.
-    const std::size_t want = std::max(cfg_.chunk_bytes, round_up(bytes, align));
+    const std::size_t want = std::max(kChunkBytes, round_up(bytes, align));
     chunks_.push_back(map_chunk(want));
     chunk = &chunks_.back();
     offset = 0;
   }
   chunk->used = offset + bytes;
   allocated_ += bytes;
-  return static_cast<char*>(chunk->base) + offset;
+  void* p = static_cast<char*>(chunk->base) + offset;
+  ASAN_UNPOISON_MEMORY_REGION(p, requested);
+  return p;
 }
 
 void Arena::deallocate(void* p, std::size_t bytes, std::size_t align) noexcept {
   if (p == nullptr) return;
   if (bytes == 0) bytes = 1;
   const std::size_t cls = class_log2(bytes, align);
-  if (cls == 0) return;  // bump-path block: resident until ~Arena
   std::lock_guard<std::mutex> lock(mutex_);
+  if (cls == 0) {
+    // Bump-path block: resident until ~Arena, but no longer addressable.
+    ASAN_POISON_MEMORY_REGION(p, bytes);
+    return;
+  }
+  ASAN_POISON_MEMORY_REGION(p, std::size_t{1} << cls);
+  ASAN_UNPOISON_MEMORY_REGION(p, sizeof(void*));
   *static_cast<void**>(p) = free_lists_[cls];
   free_lists_[cls] = p;
 }
 
 PageBacking Arena::backing() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return any_chunk_ ? worst_backing_ : PageBacking::kHeap;
+  PageBacking worst = PageBacking::kThp;
+  for (const Chunk& chunk : chunks_) worst = std::max(worst, chunk.backing);
+  return worst;
 }
 
 std::size_t Arena::allocated_bytes() const {
@@ -181,113 +175,6 @@ std::size_t Arena::reserved_bytes() const {
   std::size_t total = 0;
   for (const Chunk& chunk : chunks_) total += chunk.size;
   return total;
-}
-
-MemoryPlane::MemoryPlane(const MemoryConfig& cfg, PinningMode pinning,
-                         RankId num_ranks)
-    : cfg_(cfg), pinning_(pinning) {
-  topo_ = Topology::detect();
-  plan_ = plan_pinning(topo_, pinning_, num_ranks);
-  if (!cfg_.arenas) return;
-  arenas_.reserve(num_ranks);
-  for (RankId r = 0; r < num_ranks; ++r) {
-    ArenaConfig ac;
-    ac.chunk_bytes = cfg_.arena_chunk_bytes;
-    ac.use_huge_pages = cfg_.huge_pages;
-    if (cfg_.numa_bind && topo_.nodes.size() > 1)
-      ac.numa_node = plan_.slots[r].node;
-    arenas_.push_back(std::make_unique<Arena>(ac));
-  }
-}
-
-Arena* MemoryPlane::rank_arena(RankId r) const {
-  if (arenas_.empty()) return nullptr;
-  REMO_CHECK_MSG(static_cast<std::size_t>(r) < arenas_.size(),
-                 "rank out of range for memory plane");
-  return arenas_[r].get();
-}
-
-bool MemoryPlane::degraded() const { return !degradation_note().empty(); }
-
-std::string MemoryPlane::degradation_note() const {
-  std::string note;
-  const auto add = [&note](const std::string& line) {
-    if (!note.empty()) note += "\n";
-    note += line;
-  };
-  if (pinning_ != PinningMode::kNone && plan_.degraded)
-    add("pinning degraded: " + plan_.note);
-  else if (cfg_.arenas && cfg_.numa_bind && topo_.degraded)
-    add("topology degraded: " + topo_.note);
-  if (cfg_.arenas && cfg_.huge_pages && !arenas_.empty()) {
-    // Report the weakest tier any rank arena achieved.
-    PageBacking worst = PageBacking::kExplicitHuge;
-    for (const auto& arena : arenas_)
-      worst = std::max(worst, arena->backing());
-    if (worst != PageBacking::kExplicitHuge)
-      add(strfmt("huge pages degraded: wanted hugetlb, got %s "
-                 "(check /proc/sys/vm/nr_hugepages)",
-                 page_backing_name(worst)));
-  }
-  if (cfg_.arenas && cfg_.numa_bind && topo_.nodes.size() <= 1 &&
-      !topo_.degraded)
-    add("single NUMA node — mbind is a no-op, first-touch only");
-  return note;
-}
-
-void MemoryPlane::print_banner_once() {
-  if (banner_printed_) return;
-  banner_printed_ = true;
-  const std::string note = degradation_note();
-  if (note.empty()) return;
-  std::string banner = "!! memory plane degraded:";
-  std::size_t pos = 0;
-  std::string text = note;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, nl == std::string::npos ? std::string::npos
-                                                 : nl - pos);
-    banner += "\n!!   " + line;
-    if (nl == std::string::npos) break;
-    pos = nl + 1;
-  }
-  std::fprintf(stderr, "%s\n", banner.c_str());
-}
-
-Json MemoryPlane::to_json() const {
-  Json j = Json::object();
-  j["pinning"] = pinning_mode_name(pinning_);
-  j["arenas"] = cfg_.arenas;
-  j["huge_pages"] = cfg_.huge_pages;
-  j["numa_bind"] = cfg_.numa_bind;
-  j["arena_chunk_bytes"] = static_cast<std::uint64_t>(cfg_.arena_chunk_bytes);
-  j["numa_nodes"] = static_cast<std::uint64_t>(topo_.nodes.size());
-  j["cpus"] = static_cast<std::uint64_t>(topo_.num_cpus());
-  j["degraded"] = degraded();
-  if (const std::string note = degradation_note(); !note.empty())
-    j["degradation_note"] = note;
-  if (!arenas_.empty()) {
-    PageBacking worst = PageBacking::kExplicitHuge;
-    std::uint64_t reserved = 0, allocated = 0;
-    for (const auto& arena : arenas_) {
-      worst = std::max(worst, arena->backing());
-      reserved += arena->reserved_bytes();
-      allocated += arena->allocated_bytes();
-    }
-    j["page_backing"] = page_backing_name(worst);
-    j["arena_reserved_bytes"] = reserved;
-    j["arena_allocated_bytes"] = allocated;
-  }
-  Json slots = Json::array();
-  for (const PinSlot& slot : plan_.slots) {
-    Json s = Json::object();
-    s["cpu"] = static_cast<std::int64_t>(slot.cpu);
-    s["node"] = static_cast<std::int64_t>(slot.node);
-    slots.push_back(std::move(s));
-  }
-  j["rank_slots"] = std::move(slots);
-  return j;
 }
 
 }  // namespace remo

@@ -1,68 +1,57 @@
-// Locality-aware memory plane: huge-page-backed bump arenas with NUMA
-// binding, and the per-rank plumbing that hands each rank's storage shard
-// and mailbox rings an allocation handle.
+// Per-rank memory arenas: THP-backed bump arenas with size-class free
+// lists, and the allocator that hands a rank's storage shard and inbound
+// mailbox rings an allocation handle.
 //
 // Backing tiers (strongest first), each attempted per chunk:
-//   1. mmap(MAP_HUGETLB)        — explicit 2 MiB pages (needs nr_hugepages)
-//   2. mmap + madvise(HUGEPAGE) — transparent huge pages (THP "madvise" mode)
-//   3. plain anonymous mmap     — 4 KiB pages
-//   4. operator new             — non-Linux / mmap-refused fallback
-// Degradation below the requested tier is *explicit*: MemoryPlane prints a
-// one-time banner and records the achieved tier in its JSON block — never
-// silent (DESIGN.md "Memory & locality").
+//   1. mmap + madvise(HUGEPAGE) — transparent huge pages (THP "madvise" mode)
+//   2. plain anonymous mmap     — 4 KiB pages
+//   3. operator new             — non-Linux / mmap-refused fallback
+// The achieved tier is reported (Arena::backing, Engine::memory_json), so a
+// host without THP shows up as "plain" in the stats instead of hiding.
 //
 // Arenas are chunked bump allocators with power-of-two size-class free
 // lists: deallocate returns a block to its class for reuse, so the
-// vector-growth / rehash churn of the ingest hot path recycles cache-hot,
-// node-local buffers instead of bumping through cold pages forever (the
-// heap gets this reuse from malloc; without it, arenas lose ~10% on
-// single-node hosts). Chunk memory returns to the OS only at arena
-// destruction. The engine therefore destroys its MemoryPlane *after*
-// every container that holds arena memory (member order in Engine).
+// vector-growth / rehash churn of the ingest hot path recycles cache-hot
+// buffers instead of bumping through cold pages forever (the heap gets
+// this reuse from malloc; without it, arenas lose ~10% on single-node
+// hosts). Chunk memory returns to the OS only at arena destruction. The
+// engine therefore destroys its arenas *after* every container that
+// holds arena memory (member order in Engine).
+//
+// Under AddressSanitizer, fresh chunks are poisoned and each allocation
+// unpoisons exactly the bytes requested, so overflows of arena-backed
+// arrays are reported just as heap overflows would be.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <new>
-#include <string>
+#include <type_traits>
 #include <vector>
-
-#include "common/json.hpp"
-#include "common/types.hpp"
-#include "runtime/topology.hpp"
 
 namespace remo {
 
 /// Page backing a chunk ended up with (tier actually achieved).
 enum class PageBacking : std::uint8_t {
-  kExplicitHuge,  ///< mmap(MAP_HUGETLB) succeeded
-  kThp,           ///< plain mmap + madvise(MADV_HUGEPAGE) accepted
-  kPlain,         ///< plain mmap, no huge-page hint honoured
-  kHeap,          ///< operator new (mmap unavailable)
+  kThp,    ///< plain mmap + madvise(MADV_HUGEPAGE) accepted
+  kPlain,  ///< plain mmap, no huge-page hint honoured
+  kHeap,   ///< operator new (mmap unavailable)
 };
 
 const char* page_backing_name(PageBacking backing);
 
-struct ArenaConfig {
-  /// Chunk reservation size. A multiple of 2 MiB so the MAP_HUGETLB tier
-  /// never fails on length alignment alone.
-  std::size_t chunk_bytes = std::size_t{8} << 20;
-  /// NUMA node to mbind fresh chunks to (-1: first-touch / no binding).
-  int numa_node = -1;
-  /// Try the huge-page tiers; false jumps straight to plain pages.
-  bool use_huge_pages = true;
-};
-
 /// Thread-safe bump allocator over mmap'd chunks with power-of-two
 /// size-class free lists. Grows by mapping a new chunk on exhaustion;
 /// oversized requests get a dedicated chunk. Freed class-sized blocks are
-/// recycled (intrusive per-class lists, so reuse stays on the arena's NUMA
-/// node); chunk memory is unmapped only at destruction.
+/// recycled (intrusive per-class lists); chunk memory is unmapped only at
+/// destruction.
 class Arena {
  public:
-  explicit Arena(ArenaConfig cfg);
+  /// Standard chunk reservation: four 2 MiB huge pages.
+  static constexpr std::size_t kChunkBytes = std::size_t{8} << 20;
+
+  Arena();
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -86,7 +75,6 @@ class Arena {
   /// counts again — this is allocation traffic, not live bytes).
   std::size_t allocated_bytes() const;
   std::size_t reserved_bytes() const;  ///< bytes mapped in chunks
-  int numa_node() const { return cfg_.numa_node; }
 
  private:
   struct Chunk {
@@ -105,22 +93,19 @@ class Arena {
   /// must take the raw bump path (huge or over-aligned).
   static std::size_t class_log2(std::size_t bytes, std::size_t align);
 
-  Chunk map_chunk(std::size_t bytes);
-  void unmap_chunk(Chunk& chunk) noexcept;
+  static Chunk map_chunk(std::size_t bytes);
+  static void unmap_chunk(Chunk& chunk) noexcept;
 
-  ArenaConfig cfg_;
   mutable std::mutex mutex_;
   std::vector<Chunk> chunks_;
   void* free_lists_[kMaxClassLog2 + 1] = {};
   std::size_t allocated_ = 0;
-  PageBacking worst_backing_ = PageBacking::kExplicitHuge;
-  bool any_chunk_ = false;
 };
 
 /// Std-compatible allocator carrying an optional Arena. Null arena ==
-/// plain heap (the default everywhere, so existing behaviour is
-/// unchanged). Propagates on move/copy/swap so container moves — e.g.
-/// RobinHoodMap::rehash's move-then-assign — stay O(1) pointer steals.
+/// plain heap (what standalone containers use). Propagates on
+/// move/copy/swap so container moves — e.g. RobinHoodMap::rehash's
+/// move-then-assign — stay O(1) pointer steals.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -165,59 +150,6 @@ class ArenaAllocator {
 
  private:
   Arena* arena_ = nullptr;
-};
-
-/// Memory-plane knobs (EngineConfig::memory). Everything defaults off so
-/// a default-constructed engine allocates exactly as before.
-struct MemoryConfig {
-  /// Give each rank's storage shard and inbound mailbox rings a
-  /// node-bound arena instead of the global heap.
-  bool arenas = false;
-  /// Attempt the huge-page tiers (explicit, then THP) for arena chunks.
-  bool huge_pages = true;
-  /// Arena chunk reservation size (multiple of 2 MiB recommended).
-  std::size_t arena_chunk_bytes = std::size_t{8} << 20;
-  /// mbind arena chunks to the owning rank's NUMA node (no-op on
-  /// single-node hosts; first-touch still applies).
-  bool numa_bind = true;
-};
-
-/// Owns the topology snapshot, the rank pin plan, and (when enabled) one
-/// arena per rank bound to that rank's planned node. Constructed by the
-/// engine before any rank state so arenas outlive every container.
-class MemoryPlane {
- public:
-  MemoryPlane(const MemoryConfig& cfg, PinningMode pinning, RankId num_ranks);
-
-  /// The rank's arena, or nullptr when arenas are off (heap behaviour).
-  Arena* rank_arena(RankId r) const;
-
-  const Topology& topology() const { return topo_; }
-  const PinPlan& plan() const { return plan_; }
-  PinningMode pinning() const { return pinning_; }
-  const MemoryConfig& config() const { return cfg_; }
-
-  /// True when anything fell below what was asked for: topology fallback,
-  /// pin-plan wrap, or a backing tier weaker than requested.
-  bool degraded() const;
-  /// Human-readable reasons, one per line (empty when !degraded()).
-  std::string degradation_note() const;
-
-  /// Print the degradation banner to stderr, once per plane. No output
-  /// when nothing degraded or nothing was requested.
-  void print_banner_once();
-
-  /// Self-describing block for BENCH reports / stats JSON: pinning mode,
-  /// arena state, achieved backing, per-rank node map, degradation note.
-  Json to_json() const;
-
- private:
-  MemoryConfig cfg_;
-  PinningMode pinning_;
-  Topology topo_;
-  PinPlan plan_;
-  std::vector<std::unique_ptr<Arena>> arenas_;
-  bool banner_printed_ = false;
 };
 
 }  // namespace remo

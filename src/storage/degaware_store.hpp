@@ -50,9 +50,9 @@ class DegAwareStore {
 
   DegAwareStore() = default;
 
-  /// `arena` (optional) backs the vertex map and every promoted edge table
-  /// so the whole shard lives on the owning rank's NUMA node; it must
-  /// outlive the store. nullptr keeps today's heap behaviour.
+  /// `arena` backs the vertex map and every promoted edge table, so the
+  /// whole shard lives in its rank's arena (the engine always passes one);
+  /// it must outlive the store. nullptr: plain heap (standalone stores).
   explicit DegAwareStore(StoreConfig cfg, Arena* arena = nullptr)
       : cfg_(cfg), arena_(arena), vertices_(arena) {}
 
@@ -120,6 +120,9 @@ class DegAwareStore {
   /// EdgeProp* handles additionally require the owning adjacency's own
   /// generation() to be unchanged.
   std::uint64_t generation() const noexcept { return vertices_.generation(); }
+
+  /// The backing arena, or nullptr for a heap-backed store.
+  Arena* arena() const noexcept { return arena_; }
 
   /// Visit every owned vertex: `fn(VertexId, TwoTierAdjacency&)`.
   template <typename Fn>

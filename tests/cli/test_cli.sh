@@ -47,6 +47,9 @@ grep -q '"schema": "remo-stats-1"' "$WORK/stats.json"
 grep -q '"p50_ns"' "$WORK/stats.json"
 grep -q '"p99_ns"' "$WORK/stats.json"
 grep -q '"local_messages"' "$WORK/stats.json"
+# Every engine runs on per-rank arenas and reports the page backing it got.
+grep -Eq '"page_backing": "(thp|plain|heap)"' "$WORK/stats.json"
+grep -q '"arena_reserved_bytes"' "$WORK/stats.json"
 grep -q '"traceEvents"' "$WORK/trace.json"
 grep -q '"ph":"X"' "$WORK/trace.json"
 grep -q '"thread_name"' "$WORK/trace.json"

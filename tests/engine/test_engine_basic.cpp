@@ -1,6 +1,9 @@
 // Engine lifecycle, construction-only ingestion, basic bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "../support.hpp"
 
 namespace remo::test {
@@ -13,6 +16,27 @@ TEST(EngineBasic, ConstructsAndShutsDownIdle) {
   EXPECT_EQ(engine.num_ranks(), 3u);
   EXPECT_TRUE(engine.idle());
   EXPECT_EQ(engine.num_programs(), 0u);
+}
+
+TEST(EngineBasic, EveryRankGetsADistinctArena) {
+  // Each rank's shard lives in its own arena, and the memory block reports
+  // the weakest page backing those arenas achieved.
+  Engine engine(EngineConfig{.num_ranks = 3});
+  std::set<const Arena*> seen;
+  PageBacking worst = PageBacking::kThp;
+  for (RankId r = 0; r < 3; ++r) {
+    const Arena* arena = engine.store(r).arena();
+    ASSERT_NE(arena, nullptr) << r;
+    seen.insert(arena);
+    worst = std::max(worst, arena->backing());
+  }
+  EXPECT_EQ(seen.size(), 3u);
+  const Json j = engine.memory_json();
+  ASSERT_NE(j.find("page_backing"), nullptr);
+  EXPECT_EQ(j.find("page_backing")->as_string(), page_backing_name(worst));
+  ASSERT_NE(j.find("arena_reserved_bytes"), nullptr);
+  EXPECT_GE(j.find("arena_reserved_bytes")->as_uint(), 3 * Arena::kChunkBytes);
+  ASSERT_NE(j.find("arena_allocated_bytes"), nullptr);
 }
 
 TEST(EngineBasic, ConstructionOnlyIngestStoresEveryEdge) {

@@ -117,8 +117,9 @@ TEST(TraceWriter, EmitsParsableChromeTraceJson) {
                                       ev.find("tid")->as_int());
     const double ts = ev.find("ts")->as_double();
     auto it = last_ts.find(track);
-    if (it != last_ts.end())
+    if (it != last_ts.end()) {
       EXPECT_GE(ts, it->second) << "timestamps regress within a track";
+    }
     last_ts[track] = ts;
   }
   EXPECT_EQ(slices, 4);
