@@ -2,9 +2,8 @@
 // construction. Rows: RMAT scale; columns: rank count; cells: events/s.
 // Paper take-aways to reproduce: (strong) event rate grows with rank count
 // for a fixed graph; (weak) for a fixed rank count, graph size barely
-// moves the event rate — rate tracks structure, not scale.
-// Host note: with a single physical core, multi-rank cells measure
-// middleware overhead shape rather than true parallel speedup.
+// moves the event rate — rate tracks structure, not scale. Strong scaling
+// needs at least as many cores as the largest rank count.
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -169,13 +169,13 @@ Engine::Engine(EngineConfig cfg)
   REMO_CHECK(cfg_.num_ranks > 0);
   trace_base_ns_ = obs::monotonic_ns();
   const bool tracing = cfg_.obs.trace && obs::kTraceCompiledIn;
-  if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
+  if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(obs::kTraceCapacity);
   if (cfg_.obs.lineage) {
     // CauseId reserves 8 bits for the origin, with 0xFF meaning "main
     // thread" — rank ids must stay below that.
     REMO_CHECK_MSG(cfg_.num_ranks < obs::kMainOrigin,
                    "lineage tracing supports at most 254 ranks");
-    main_lineage_ = std::make_unique<obs::LineageTable>(cfg_.obs.lineage_capacity);
+    main_lineage_ = std::make_unique<obs::LineageTable>(obs::kLineageCapacity);
   }
   if (cfg_.obs.prof) {
     // Resolve once (the perf_event probe costs a syscall) and give every
@@ -196,13 +196,11 @@ Engine::Engine(EngineConfig cfg)
     rt->part = &part_;
     rt->rank = r;
     rt->drop_nth_update = cfg_.debug.drop_nth_update;
-    rt->obs_latency = cfg_.obs.latency;
-    rt->obs_phases = cfg_.obs.phase_timers;
     rt->obs_sample_mask =
         (std::uint64_t{1} << (cfg_.obs.latency_sample_shift & 63)) - 1;
-    if (tracing) rt->trace = std::make_unique<obs::TraceBuffer>(cfg_.obs.trace_capacity);
+    if (tracing) rt->trace = std::make_unique<obs::TraceBuffer>(obs::kTraceCapacity);
     if (cfg_.obs.lineage) {
-      rt->lineage = std::make_unique<obs::LineageTable>(cfg_.obs.lineage_capacity);
+      rt->lineage = std::make_unique<obs::LineageTable>(obs::kLineageCapacity);
       rt->lineage_sample_mask =
           (std::uint64_t{1} << (cfg_.obs.lineage_sample_shift & 63)) - 1;
     }
@@ -632,7 +630,8 @@ void Engine::reset_program(ProgramId p) {
 // ---------------------------------------------------------------------------
 
 MetricsSummary Engine::metrics() const {
-  MetricsSummary s = MetricsSummary::aggregate(rank_metrics());
+  MetricsSummary s;
+  for (const MetricsSummary& m : rank_metrics()) s.merge(m);
   const std::uint64_t main = main_control_sent_.load(std::memory_order_relaxed);
   s.messages_sent += main;
   s.control_messages += main;
@@ -748,8 +747,8 @@ bool Engine::write_trace(const std::string& path,
   return obs::write_chrome_trace(path, "remo engine", tracks);
 }
 
-std::vector<RankMetrics> Engine::rank_metrics() const {
-  std::vector<RankMetrics> out;
+std::vector<MetricsSummary> Engine::rank_metrics() const {
+  std::vector<MetricsSummary> out;
   out.reserve(ranks_.size());
   for (const auto& rt : ranks_) {
     out.push_back(rt->metrics.snapshot());
@@ -838,18 +837,10 @@ obs::GaugeSample Engine::sample_gauges() const {
   }
 
   if (prof_enabled()) {
-    s.prof.present = true;
-    s.prof.backend = obs::prof_backend_name(prof_backend_kind_);
-    s.prof.degraded = prof_backend_kind_ != obs::ProfBackendKind::kPerfEvent;
-    for (const auto& rt : ranks_) {
-      const obs::RankProfSnapshot rs = rt->prof->snapshot();
-      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-        s.prof.phase[i] += rs.phase[i];
-        s.prof.attributed_ns[i] += rs.attributed_ns[i];
-      }
-      s.prof.reads += rs.reads;
-      s.prof.read_failures += rs.read_failures;
-    }
+    s.prof_backend = obs::prof_backend_name(prof_backend_kind_);
+    s.prof_degraded = prof_backend_kind_ != obs::ProfBackendKind::kPerfEvent;
+    s.prof.rank = obs::kProfTotalsRank;
+    for (const auto& rt : ranks_) s.prof.merge(rt->prof->snapshot());
   }
   return s;
 }
@@ -858,7 +849,7 @@ std::string Engine::stall_dump(RankId flagged) const {
   std::string out;
   if (flagged >= cfg_.num_ranks) return out;
   const auto& rt = *ranks_[flagged];
-  const RankMetrics m = rt.metrics.snapshot();
+  const MetricsSummary m = rt.metrics.snapshot();
   out += strfmt(
       "rank %u counters: topo %llu, algo %llu, sent %llu (local %llu, remote "
       "%llu, control %llu), edges stored %llu\n",

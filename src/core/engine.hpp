@@ -169,7 +169,7 @@ class Engine {
   // --- Introspection ------------------------------------------------------------
 
   MetricsSummary metrics() const;
-  std::vector<RankMetrics> rank_metrics() const;
+  std::vector<MetricsSummary> rank_metrics() const;
 
   /// Full observability snapshot: counters, merged per-update latency
   /// histogram (p50/p90/p99/p999), per-phase wall-clock accounting — per

@@ -68,17 +68,14 @@ struct RankRuntime {
   // Observability (src/obs). Counters/histogram/timers are single-writer
   // (this rank's thread) with relaxed-atomic cells so metrics_snapshot()
   // and sample_gauges() can read concurrently; the trace ring must only be
-  // exported at quiescence. The cached config bools keep the hot path at
-  // one branch when a facility is off.
+  // exported at quiescence.
   obs::RankGauges gauges;
   obs::LatencyHistogram update_latency;
   obs::PhaseTimers phases;
   std::unique_ptr<obs::TraceBuffer> trace;  // null unless tracing enabled
   // Hardware-counter profiler (obs/prof.hpp); null unless profiling is on.
-  // Hooks the same phase boundaries as `phases`, single-writer like it.
+  // Fed by on_phase() at the same boundaries as `phases`.
   std::unique_ptr<obs::RankProfiler> prof;
-  bool obs_latency = false;
-  bool obs_phases = false;
   std::uint64_t obs_sample_mask = 0;  // record every (mask+1)-th topo event
   std::uint64_t obs_topo_seen = 0;
   std::uint64_t obs_control_ns = 0;  // scratch: snapshot-drain time in batch
@@ -199,6 +196,13 @@ struct RankRuntime {
     ++metrics.control_messages;
     comm->send(rank, to, v);
     comm->flush(rank);
+  }
+
+  /// The rank's one phase clock: `ns` of wall clock just spent in `p`,
+  /// accounted in the phase timers and handed to the profiler.
+  void on_phase(obs::Phase p, std::uint64_t ns) noexcept {
+    phases.add(p, ns);
+    if (prof) prof->on_phase(p, ns);
   }
 
   StateWord cur_value(ProgramId p, VertexId v, StateWord identity) const {

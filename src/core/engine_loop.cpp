@@ -347,8 +347,7 @@ void Engine::dispatch_visitor(detail::RankRuntime& rt, const Visitor& v) {
 // ---------------------------------------------------------------------------
 
 void Engine::do_harvest(detail::RankRuntime& rt, ProgramId p) {
-  const bool obs_on = rt.obs_phases || rt.trace;
-  const std::uint64_t t0 = obs_on ? obs_now() : 0;
+  const std::uint64_t t0 = obs_now();
   const StateWord identity = programs_[p]->identity();
   detail::ProgramRank& pr = rt.progs[p];
   {
@@ -364,17 +363,14 @@ void Engine::do_harvest(detail::RankRuntime& rt, ProgramId p) {
   // and stale splits would poison the next collection.
   for (auto& each : rt.progs) each.prev.clear();
   rt.harvested_epoch = epoch_.load(std::memory_order_acquire);
-  if (obs_on) {
-    const std::uint64_t dt = obs_now() - t0;
-    rt.obs_control_ns += dt;
-    if (rt.trace) rt.trace->emit("harvest", t0, dt, "vertices", rt.harvest_out.size());
-  }
+  const std::uint64_t dt = obs_now() - t0;
+  rt.obs_control_ns += dt;
+  if (rt.trace) rt.trace->emit("harvest", t0, dt, "vertices", rt.harvest_out.size());
   control_acks_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void Engine::do_repair_anchors(detail::RankRuntime& rt, ProgramId p) {
-  const bool obs_on = rt.obs_phases || rt.trace;
-  const std::uint64_t t0 = obs_on ? obs_now() : 0;
+  const std::uint64_t t0 = obs_now();
   detail::ProgramRank& pr = rt.progs[p];
   std::vector<VertexId> anchors;
   anchors.swap(pr.dirty);
@@ -386,17 +382,14 @@ void Engine::do_repair_anchors(detail::RankRuntime& rt, ProgramId p) {
     programs_[p]->on_repair_anchor(ctx);
   }
   comm_.flush(rt.rank);
-  if (obs_on) {
-    const std::uint64_t dt = obs_now() - t0;
-    rt.obs_control_ns += dt;
-    if (rt.trace) rt.trace->emit("repair_anchors", t0, dt, "anchors", anchors.size());
-  }
+  const std::uint64_t dt = obs_now() - t0;
+  rt.obs_control_ns += dt;
+  if (rt.trace) rt.trace->emit("repair_anchors", t0, dt, "anchors", anchors.size());
   control_acks_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void Engine::do_repair_probes(detail::RankRuntime& rt, ProgramId p) {
-  const bool obs_on = rt.obs_phases || rt.trace;
-  const std::uint64_t t0 = obs_on ? obs_now() : 0;
+  const std::uint64_t t0 = obs_now();
   detail::ProgramRank& pr = rt.progs[p];
   std::vector<VertexId> casualties;
   casualties.swap(pr.invalidated);
@@ -409,12 +402,10 @@ void Engine::do_repair_probes(detail::RankRuntime& rt, ProgramId p) {
     ctx.send_probe_all_nbrs();
   }
   comm_.flush(rt.rank);
-  if (obs_on) {
-    const std::uint64_t dt = obs_now() - t0;
-    rt.obs_control_ns += dt;
-    if (rt.trace)
-      rt.trace->emit("repair_probes", t0, dt, "casualties", casualties.size());
-  }
+  const std::uint64_t dt = obs_now() - t0;
+  rt.obs_control_ns += dt;
+  if (rt.trace)
+    rt.trace->emit("repair_probes", t0, dt, "casualties", casualties.size());
   control_acks_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -538,15 +529,12 @@ void Engine::rank_main(RankId r) {
                            ? hash_combine(cfg_.debug.schedule_seed, r + 1)
                            : 0xC4A05ULL * (r + 1));
 
-  // Observability switches, hoisted so the hot path pays one branch each.
+  // Hoisted so the hot path pays one branch when tracing is off.
   obs::TraceBuffer* const trace = rt.trace.get();
-  obs::RankProfiler* const prof = rt.prof.get();
-  const bool obs_time = rt.obs_phases || trace != nullptr || prof != nullptr;
-  const bool obs_latency = rt.obs_latency;
 
   // Open this rank's counter group on its own thread (fds are per-thread)
   // and enrol in the on-CPU stack sampler before entering the loop.
-  if (prof) prof->attach();
+  if (rt.prof) rt.prof->attach();
   if (stack_sampler_)
     stack_sampler_->register_current_thread(strfmt("rank %u", r));
 
@@ -561,8 +549,7 @@ void Engine::rank_main(RankId r) {
   // Apply one visitor; topology events (the stream's unit of work) are
   // sampled into the per-update latency histogram.
   const auto process_one = [&](const Visitor& v) {
-    if (obs_latency &&
-        (v.kind == VisitKind::kAdd || v.kind == VisitKind::kDelete) &&
+    if ((v.kind == VisitKind::kAdd || v.kind == VisitKind::kDelete) &&
         (rt.obs_topo_seen++ & rt.obs_sample_mask) == 0) {
       const std::uint64_t t0 = obs::monotonic_ns();
       process_visitor(rt, v);
@@ -662,7 +649,7 @@ void Engine::rank_main(RankId r) {
     // (mailbox drain), ingest (stream pull), or quiesce (passive), with
     // harvest/repair control work inside a drain re-attributed to
     // snapshot-drain via obs_control_ns.
-    const std::uint64_t iter_t0 = obs_time ? obs_now() : 0;
+    const std::uint64_t iter_t0 = obs_now();
     bool did_work = false;
 
     // 1) Drain the mailbox + loop-back queue: algorithm events take
@@ -683,17 +670,11 @@ void Engine::rank_main(RankId r) {
         }
       }
       comm_.flush(r);
-      if (obs_time) {
-        const std::uint64_t dt = obs_now() - iter_t0;
-        const std::uint64_t control = std::min(dt, rt.obs_control_ns);
-        rt.phases.add(obs::Phase::kPropagate, dt - control);
-        if (control) rt.phases.add(obs::Phase::kSnapshotDrain, control);
-        if (prof) {
-          prof->on_phase(obs::Phase::kPropagate, dt - control);
-          if (control) prof->on_phase(obs::Phase::kSnapshotDrain, control);
-        }
-        if (trace) trace->emit("drain", iter_t0, dt, "events", batch.size());
-      }
+      const std::uint64_t dt = obs_now() - iter_t0;
+      const std::uint64_t control = std::min(dt, rt.obs_control_ns);
+      rt.on_phase(obs::Phase::kPropagate, dt - control);
+      if (control) rt.on_phase(obs::Phase::kSnapshotDrain, control);
+      if (trace) trace->emit("drain", iter_t0, dt, "events", batch.size());
       continue;
     }
 
@@ -773,12 +754,9 @@ void Engine::rank_main(RankId r) {
       if (did_work) {
         passive_streak = 0;
         comm_.flush(r);
-        if (obs_time) {
-          const std::uint64_t dt = obs_now() - iter_t0;
-          rt.phases.add(obs::Phase::kIngest, dt);
-          if (prof) prof->on_phase(obs::Phase::kIngest, dt);
-          if (trace) trace->emit("ingest", iter_t0, dt, "events", pulled);
-        }
+        const std::uint64_t dt = obs_now() - iter_t0;
+        rt.on_phase(obs::Phase::kIngest, dt);
+        if (trace) trace->emit("ingest", iter_t0, dt, "events", pulled);
         continue;
       }
     }
@@ -814,14 +792,10 @@ void Engine::rank_main(RankId r) {
     }
     ++passive_streak;
     rt.gauges.idle.store(false, std::memory_order_relaxed);
-    if (rt.obs_phases || prof) {
-      const std::uint64_t dt = obs_now() - iter_t0;
-      if (rt.obs_phases) rt.phases.add(obs::Phase::kQuiesce, dt);
-      if (prof) prof->on_phase(obs::Phase::kQuiesce, dt);
-    }
+    rt.on_phase(obs::Phase::kQuiesce, obs_now() - iter_t0);
   }
   // Attribute the tail the sampling stride would otherwise drop.
-  if (prof) prof->flush();
+  if (rt.prof) rt.prof->flush();
 }
 
 }  // namespace remo

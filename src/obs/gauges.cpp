@@ -1,106 +1,124 @@
 #include "obs/gauges.hpp"
 
+#include <array>
+
 #include "common/strfmt.hpp"
 
 namespace remo::obs {
+
+namespace {
+
+constexpr MetricType kCounter = MetricType::kCounter;
+constexpr MetricUnit kNs = MetricUnit::kNanoseconds;
+
+// The engine-filled gauges, declared once each in JSON order. Prometheus
+// renders the ones that name a family.
+
+std::array<Metric, 10> sample_metrics(const GaugeSample& s) {
+  return {{
+      {{"events_ingested", "remo_events_ingested_total",
+        "Topology events accepted into the system", kCounter},
+       s.events_ingested},
+      {{"events_applied", "remo_events_applied_total",
+        "Topology events applied (store mutation + local callbacks)", kCounter},
+       s.events_applied},
+      {{"converged_through", "remo_converged_through",
+        "Ingested-event watermark through which state is converged"},
+       s.converged_through},
+      {{"convergence_lag_events", "remo_convergence_lag_events",
+        "Events ingested but not yet reflected in converged state"},
+       s.convergence_lag_events},
+      {{"staleness_ns", "remo_staleness_seconds",
+        "Wall-clock age of the converged watermark (0 when caught up)",
+        MetricType::kGauge, kNs},
+       s.staleness_ns},
+      {{"in_flight", "remo_in_flight_messages",
+        "Basic visitors injected but not fully processed"},
+       s.in_flight},
+      {{"queue_depth"}, s.queue_depth},
+      {{"idle_ranks", "remo_idle_ranks", "Ranks currently parked waiting for work"},
+       std::uint64_t{s.idle_ranks}},
+      {{"idle_ratio"}, s.idle_ratio},
+      {{"quiescent"}, s.quiescent},
+  }};
+}
+
+// Safra detail; JSON shows it in Safra mode only.
+std::array<Metric, 4> safra_metrics(const GaugeSample& s) {
+  return {{
+      {{"generation"}, s.safra_generation},
+      {{"probe_rounds", "remo_termination_probe_rounds_total",
+        "Safra token circuits completed (0 in counting mode)", kCounter},
+       s.safra_probe_rounds},
+      {{"probe_active"}, s.safra_probe_active},
+      {{"terminated"}, s.safra_terminated},
+  }};
+}
+
+// One rank's row; Prometheus labels each family by rank.
+std::array<Metric, 8> rank_metrics(const RankGaugeSample& g) {
+  return {{
+      {{"queue_depth", "remo_queue_depth",
+        "Undrained ingress visitors (mailbox + loop-back)"},
+       g.queue_depth},
+      {{"ring_occupancy", "remo_ring_occupancy",
+        "Visitors parked in the mailbox SPSC rings"},
+       g.ring_occupancy},
+      {{"overflow_depth", "remo_overflow_depth",
+        "Visitors in the mailbox overflow segment"},
+       g.overflow_depth},
+      {{"events_ingested"}, g.events_ingested},
+      {{"events_applied", "remo_rank_events_applied_total",
+        "Topology events applied by each rank", kCounter},
+       g.events_applied},
+      {{"converged_through"}, g.converged_through},
+      {{"staleness_ns"}, g.staleness_ns},
+      {{"idle", "remo_rank_idle", "1 while the rank is parked"}, g.idle},
+  }};
+}
+
+Json json_of(const MetricValue& v) {
+  return std::visit([](auto x) { return Json(x); }, v);
+}
+
+template <class Metrics>
+void put_json(Json& obj, const Metrics& metrics) {
+  for (const Metric& m : metrics)
+    (m.group ? obj[m.group] : obj)[std::string(m.def.key)] = json_of(m.value);
+}
+
+}  // namespace
 
 Json GaugeSample::to_json(bool include_per_rank) const {
   Json j = Json::object();
   j["schema"] = "remo-gauges-1";
   j["ts_ns"] = sample_ns;
-  j["events_ingested"] = events_ingested;
-  j["events_applied"] = events_applied;
-  j["converged_through"] = converged_through;
-  j["convergence_lag_events"] = convergence_lag_events;
-  j["staleness_ns"] = staleness_ns;
-  j["in_flight"] = in_flight;
-  j["queue_depth"] = queue_depth;
-  j["idle_ranks"] = idle_ranks;
-  j["idle_ratio"] = idle_ratio;
-  j["quiescent"] = quiescent;
+  put_json(j, sample_metrics(*this));
   Json det = Json::object();
   det["mode"] = safra_mode ? "safra" : "counting";
-  if (safra_mode) {
-    det["generation"] = safra_generation;
-    det["probe_rounds"] = safra_probe_rounds;
-    det["probe_active"] = safra_probe_active;
-    det["terminated"] = safra_terminated;
-  }
+  if (safra_mode) put_json(det, safra_metrics(*this));
   j["termination"] = std::move(det);
-  if (serving.present) {
-    Json s = Json::object();
-    s["queries_served"] = serving.queries_served;
-    s["refreshes"] = serving.refreshes;
-    s["served_programs"] = serving.served_programs;
-    s["read_epoch_lag_events"] = serving.read_epoch_lag_events;
-    s["view_age_ns"] = serving.view_age_ns;
-    if (serving.gate_present) {
-      Json g = Json::object();
-      g["events_submitted"] = serving.gate_events_submitted;
-      g["events_dispatched"] = serving.gate_events_dispatched;
-      g["batches"] = serving.gate_batches;
-      g["waves"] = serving.gate_waves;
-      g["serial_fallback_batches"] = serving.gate_serial_fallback_batches;
-      g["mean_wave_occupancy"] = serving.gate_mean_wave_occupancy;
-      s["write_gate"] = std::move(g);
-    }
-    if (serving.spans_present) {
-      Json sp = Json::object();
-      sp["sampled"] = serving.spans_sampled;
-      sp["completed"] = serving.spans_completed;
-      sp["open"] = serving.spans_open;
-      sp["dropped"] = serving.spans_dropped;
-      sp["freshness_p50_ns"] = serving.freshness_p50_ns;
-      sp["freshness_p99_ns"] = serving.freshness_p99_ns;
-      s["spans"] = std::move(sp);
-    }
-    j["serving"] = std::move(s);
-  }
-  if (prof.present) {
+  if (!serving.empty()) put_json(j["serving"], serving);
+  if (!prof_backend.empty()) {
     Json p = Json::object();
-    p["backend"] = prof.backend;
-    p["degraded"] = prof.degraded;
+    p["backend"] = prof_backend;
+    p["degraded"] = prof_degraded;
     p["reads"] = prof.reads;
     p["read_failures"] = prof.read_failures;
     Json phases = Json::object();
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      const CounterSet& c = prof.phase[i];
-      Json ph = Json::object();
-      ph["cycles"] = c[ProfCounter::kCycles];
-      ph["instructions"] = c[ProfCounter::kInstructions];
-      ph["llc_loads"] = c[ProfCounter::kLlcLoads];
-      ph["llc_misses"] = c[ProfCounter::kLlcMisses];
-      ph["branch_misses"] = c[ProfCounter::kBranchMisses];
-      ph["stalled_cycles"] = c[ProfCounter::kStalledCycles];
-      ph["dtlb_loads"] = c[ProfCounter::kDtlbLoads];
-      ph["dtlb_misses"] = c[ProfCounter::kDtlbMisses];
-      ph["minor_faults"] = c[ProfCounter::kMinorFaults];
-      ph["major_faults"] = c[ProfCounter::kMajorFaults];
-      ph["task_clock_ns"] = c[ProfCounter::kTaskClockNs];
-      ph["attributed_ns"] = prof.attributed_ns[i];
-      ph["ipc"] = prof_ipc(c);
-      ph["llc_miss_rate"] = prof_llc_miss_rate(c);
-      ph["dtlb_miss_rate"] = prof_dtlb_miss_rate(c);
-      phases[phase_name(static_cast<Phase>(i))] = std::move(ph);
-    }
+    for (std::size_t i = 0; i < kPhaseCount; ++i)
+      phases[phase_name(static_cast<Phase>(i))] =
+          phase_block_json(prof.phase[i], prof.attributed_ns[i]);
     p["phases"] = std::move(phases);
     j["prof"] = std::move(p);
   }
   if (include_per_rank) {
     Json ranks = Json::array();
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
-      const RankGaugeSample& g = per_rank[r];
       Json jr = Json::object();
       jr["rank"] = r;
-      jr["queue_depth"] = g.queue_depth;
-      jr["ring_occupancy"] = g.ring_occupancy;
-      jr["overflow_depth"] = g.overflow_depth;
-      jr["events_ingested"] = g.events_ingested;
-      jr["events_applied"] = g.events_applied;
-      jr["converged_through"] = g.converged_through;
-      jr["staleness_ns"] = g.staleness_ns;
-      jr["idle"] = g.idle;
-      if (g.trace_emitted) jr["trace_emitted"] = g.trace_emitted;
+      put_json(jr, rank_metrics(per_rank[r]));
+      if (per_rank[r].trace_emitted) jr["trace_emitted"] = per_rank[r].trace_emitted;
       ranks.push_back(std::move(jr));
     }
     j["per_rank"] = std::move(ranks);
@@ -132,210 +150,88 @@ void PromWriter::header(std::string_view name, std::string_view help,
                  type.data());
 }
 
-void PromWriter::value(std::string_view name, std::uint64_t v) {
-  out_ += strfmt("%s %llu\n", prom_sanitize_name(name).c_str(),
-                 static_cast<unsigned long long>(v));
+void PromWriter::header(const MetricDef& d) {
+  header(d.prom, d.help, d.type == MetricType::kCounter ? "counter" : "gauge");
 }
 
-void PromWriter::value(std::string_view name, std::int64_t v) {
-  out_ += strfmt("%s %lld\n", prom_sanitize_name(name).c_str(),
-                 static_cast<long long>(v));
+void PromWriter::value(std::string_view name, const MetricValue& v,
+                       std::string_view key, std::string_view label) {
+  out_ += prom_sanitize_name(name);
+  if (!key.empty())
+    out_ += strfmt("{%.*s=\"%.*s\"}", static_cast<int>(key.size()), key.data(),
+                   static_cast<int>(label.size()), label.data());
+  if (const auto* u = std::get_if<std::uint64_t>(&v))
+    out_ += strfmt(" %llu\n", static_cast<unsigned long long>(*u));
+  else if (const auto* i = std::get_if<std::int64_t>(&v))
+    out_ += strfmt(" %lld\n", static_cast<long long>(*i));
+  else if (const auto* d = std::get_if<double>(&v))
+    out_ += strfmt(" %.9f\n", *d);
+  else
+    out_ += std::get<bool>(v) ? " 1\n" : " 0\n";
 }
 
-void PromWriter::value(std::string_view name, double v) {
-  out_ += strfmt("%s %.9f\n", prom_sanitize_name(name).c_str(), v);
-}
-
-void PromWriter::labelled(std::string_view name, std::string_view key,
-                          std::string_view label, std::uint64_t v) {
-  out_ += strfmt("%s{%.*s=\"%.*s\"} %llu\n", prom_sanitize_name(name).c_str(),
-                 static_cast<int>(key.size()), key.data(),
-                 static_cast<int>(label.size()), label.data(),
-                 static_cast<unsigned long long>(v));
-}
-
-void PromWriter::labelled(std::string_view name, std::string_view key,
-                          std::string_view label, double v) {
-  out_ += strfmt("%s{%.*s=\"%.*s\"} %.9f\n", prom_sanitize_name(name).c_str(),
-                 static_cast<int>(key.size()), key.data(),
-                 static_cast<int>(label.size()), label.data(), v);
+void PromWriter::metric(const MetricDef& d, const MetricValue& v,
+                        std::string_view key, std::string_view label) {
+  if (d.prom.empty()) return;
+  header(d);
+  if (d.unit == MetricUnit::kNanoseconds)
+    value(d.prom, static_cast<double>(std::get<std::uint64_t>(v)) / 1e9, key, label);
+  else
+    value(d.prom, v, key, label);
 }
 
 std::string GaugeSample::to_prometheus() const {
   PromWriter w;
-  w.header("remo_events_ingested_total",
-           "Topology events accepted into the system", "counter");
-  w.value("remo_events_ingested_total", events_ingested);
-  w.header("remo_events_applied_total",
-           "Topology events applied (store mutation + local callbacks)",
-           "counter");
-  w.value("remo_events_applied_total", events_applied);
-  w.header("remo_converged_through",
-           "Ingested-event watermark through which state is converged", "gauge");
-  w.value("remo_converged_through", converged_through);
-  w.header("remo_convergence_lag_events",
-           "Events ingested but not yet reflected in converged state", "gauge");
-  w.value("remo_convergence_lag_events", convergence_lag_events);
-  w.header("remo_staleness_seconds",
-           "Wall-clock age of the converged watermark (0 when caught up)",
-           "gauge");
-  w.value("remo_staleness_seconds", static_cast<double>(staleness_ns) / 1e9);
-  w.header("remo_in_flight_messages",
-           "Basic visitors injected but not fully processed", "gauge");
-  w.value("remo_in_flight_messages", static_cast<std::int64_t>(in_flight));
-  w.header("remo_idle_ranks", "Ranks currently parked waiting for work", "gauge");
-  w.value("remo_idle_ranks", std::uint64_t{idle_ranks});
-  w.header("remo_termination_probe_rounds_total",
-           "Safra token circuits completed (0 in counting mode)", "counter");
-  w.value("remo_termination_probe_rounds_total", safra_probe_rounds);
-  w.header("remo_queue_depth",
-           "Undrained ingress visitors (mailbox + loop-back)", "gauge");
-  for (std::size_t r = 0; r < per_rank.size(); ++r)
-    w.labelled("remo_queue_depth", "rank", strfmt("%zu", r),
-               per_rank[r].queue_depth);
-  w.header("remo_ring_occupancy",
-           "Visitors parked in the mailbox SPSC rings", "gauge");
-  for (std::size_t r = 0; r < per_rank.size(); ++r)
-    w.labelled("remo_ring_occupancy", "rank", strfmt("%zu", r),
-               per_rank[r].ring_occupancy);
-  w.header("remo_overflow_depth",
-           "Visitors in the mailbox overflow segment", "gauge");
-  for (std::size_t r = 0; r < per_rank.size(); ++r)
-    w.labelled("remo_overflow_depth", "rank", strfmt("%zu", r),
-               per_rank[r].overflow_depth);
-  w.header("remo_rank_events_applied_total",
-           "Topology events applied by each rank", "counter");
-  for (std::size_t r = 0; r < per_rank.size(); ++r)
-    w.labelled("remo_rank_events_applied_total", "rank", strfmt("%zu", r),
-               per_rank[r].events_applied);
-  w.header("remo_rank_idle", "1 while the rank is parked", "gauge");
-  for (std::size_t r = 0; r < per_rank.size(); ++r)
-    w.labelled("remo_rank_idle", "rank", strfmt("%zu", r),
-               std::uint64_t{per_rank[r].idle ? 1u : 0u});
-  if (serving.present) {
-    w.header("remo_serve_queries_total", "Catalog queries answered", "counter");
-    w.value("remo_serve_queries_total", serving.queries_served);
-    w.header("remo_serve_refreshes_total", "Views published (all programs)",
-             "counter");
-    w.value("remo_serve_refreshes_total", serving.refreshes);
-    w.header("remo_serve_programs", "Active serving slots", "gauge");
-    w.value("remo_serve_programs", serving.served_programs);
-    w.header("remo_serve_read_epoch_lag_events",
-             "Accepted events the stalest published view may be missing",
-             "gauge");
-    w.value("remo_serve_read_epoch_lag_events", serving.read_epoch_lag_events);
-    w.header("remo_serve_view_age_seconds",
-             "Age of the oldest active published view", "gauge");
-    w.value("remo_serve_view_age_seconds",
-            static_cast<double>(serving.view_age_ns) / 1e9);
-    if (serving.gate_present) {
-      w.header("remo_gate_events_submitted_total",
-               "Events enqueued at the write gate", "counter");
-      w.value("remo_gate_events_submitted_total", serving.gate_events_submitted);
-      w.header("remo_gate_events_dispatched_total",
-               "Events the gate injected into the engine", "counter");
-      w.value("remo_gate_events_dispatched_total",
-              serving.gate_events_dispatched);
-      w.header("remo_gate_batches_total", "Batches the gate dispatched",
-               "counter");
-      w.value("remo_gate_batches_total", serving.gate_batches);
-      w.header("remo_gate_waves_total", "Conflict-free waves dispatched",
-               "counter");
-      w.value("remo_gate_waves_total", serving.gate_waves);
-      w.header("remo_gate_serial_fallback_batches_total",
-               "Batches injected serially (conflict-dominated)", "counter");
-      w.value("remo_gate_serial_fallback_batches_total",
-              serving.gate_serial_fallback_batches);
-      w.header("remo_gate_mean_wave_occupancy",
-               "Mean events per wave over non-fallback batches", "gauge");
-      w.value("remo_gate_mean_wave_occupancy", serving.gate_mean_wave_occupancy);
-    }
-    if (serving.spans_present) {
-      w.header("remo_spans_completed_total",
-               "Write-path spans closed (batch became readable)", "counter");
-      w.value("remo_spans_completed_total", serving.spans_completed);
-      w.header("remo_spans_open", "Write-path spans still in flight", "gauge");
-      w.value("remo_spans_open", serving.spans_open);
-      w.header("remo_freshness_p50_seconds",
-               "Median write-to-readable freshness", "gauge");
-      w.value("remo_freshness_p50_seconds",
-              static_cast<double>(serving.freshness_p50_ns) / 1e9);
-      w.header("remo_freshness_p99_seconds",
-               "p99 write-to-readable freshness", "gauge");
-      w.value("remo_freshness_p99_seconds",
-              static_cast<double>(serving.freshness_p99_ns) / 1e9);
-    }
+  for (const Metric& m : sample_metrics(*this)) w.metric(m.def, m.value);
+  for (const Metric& m : safra_metrics(*this)) w.metric(m.def, m.value);
+  // Family-major: each per-rank family's header, then one line per rank.
+  const auto families = rank_metrics(RankGaugeSample{});
+  for (std::size_t k = 0; k < families.size(); ++k) {
+    if (families[k].def.prom.empty()) continue;
+    w.header(families[k].def);
+    for (std::size_t r = 0; r < per_rank.size(); ++r)
+      w.metric(families[k].def, rank_metrics(per_rank[r])[k].value, "rank",
+               strfmt("%zu", r));
   }
-  if (prof.present) {
-    w.header("remo_prof_backend_info",
-             "Resolved profiling backend (1 = active; degraded label set "
-             "unless perf_event)",
-             "gauge");
-    w.labelled("remo_prof_backend_info", "backend", prof.backend,
-               std::uint64_t{1});
-    w.header("remo_prof_reads_total", "Successful counter-group reads",
-             "counter");
-    w.value("remo_prof_reads_total", prof.reads);
-    w.header("remo_prof_read_failures_total", "Failed counter-group reads",
-             "counter");
-    w.value("remo_prof_read_failures_total", prof.read_failures);
-    w.header("remo_prof_cycles_total", "CPU cycles attributed per phase",
-             "counter");
-    w.header("remo_prof_instructions_total",
-             "Instructions retired attributed per phase", "counter");
-    w.header("remo_prof_llc_loads_total", "LLC read accesses per phase",
-             "counter");
-    w.header("remo_prof_llc_misses_total", "LLC read misses per phase",
-             "counter");
-    w.header("remo_prof_branch_misses_total", "Branch misses per phase",
-             "counter");
-    w.header("remo_prof_stalled_cycles_total",
-             "Backend-stalled cycles per phase", "counter");
-    w.header("remo_prof_dtlb_loads_total", "dTLB read accesses per phase",
-             "counter");
-    w.header("remo_prof_dtlb_misses_total", "dTLB read misses per phase",
-             "counter");
-    w.header("remo_prof_minor_faults_total",
-             "Minor page faults attributed per phase", "counter");
-    w.header("remo_prof_major_faults_total",
-             "Major page faults attributed per phase", "counter");
-    w.header("remo_prof_task_clock_seconds_total",
-             "On-CPU time attributed per phase", "counter");
-    w.header("remo_prof_ipc", "Instructions per cycle per phase", "gauge");
-    w.header("remo_prof_llc_miss_rate", "LLC read miss rate per phase",
-             "gauge");
-    w.header("remo_prof_dtlb_miss_rate", "dTLB read miss rate per phase",
-             "gauge");
+  for (const Metric& m : serving) w.metric(m.def, m.value);
+  if (!prof_backend.empty()) {
+    w.metric({"backend", "remo_prof_backend_info",
+              "Resolved profiling backend (1 = active; degraded label set "
+              "unless perf_event)"},
+             std::uint64_t{1}, "backend", prof_backend);
+    w.metric({"reads", "remo_prof_reads_total", "Successful counter-group reads",
+              kCounter},
+             prof.reads);
+    w.metric({"read_failures", "remo_prof_read_failures_total",
+              "Failed counter-group reads", kCounter},
+             prof.read_failures);
+    // One family per ProfCounter and per ProfRatio, all headers first, then
+    // each phase's samples.
+    std::array<std::string, kProfCounterCount + kProfRatioCount> names;
+    std::array<MetricDef, kProfCounterCount + kProfRatioCount> defs;
+    for (std::size_t k = 0; k < kProfCounterCount; ++k) {
+      const auto c = static_cast<ProfCounter>(k);
+      std::string_view name = prof_counter_name(c);
+      const bool ns = name.ends_with("_ns");
+      if (ns) name.remove_suffix(3);
+      names[k] = strfmt("remo_prof_%.*s%s_total", static_cast<int>(name.size()),
+                        name.data(), ns ? "_seconds" : "");
+      defs[k] = {prof_counter_name(c), names[k], prof_counter_help(c), kCounter,
+                 ns ? kNs : MetricUnit::kCount};
+    }
+    for (std::size_t k = 0; k < kProfRatioCount; ++k) {
+      names[kProfCounterCount + k] = strfmt("remo_prof_%s", kProfRatios[k].name);
+      defs[kProfCounterCount + k] = {kProfRatios[k].name, names[kProfCounterCount + k],
+                                     kProfRatios[k].help};
+    }
+    for (const MetricDef& d : defs) w.header(d);
     for (std::size_t i = 0; i < kPhaseCount; ++i) {
       const char* ph = phase_name(static_cast<Phase>(i));
       const CounterSet& c = prof.phase[i];
-      w.labelled("remo_prof_cycles_total", "phase", ph,
-                 c[ProfCounter::kCycles]);
-      w.labelled("remo_prof_instructions_total", "phase", ph,
-                 c[ProfCounter::kInstructions]);
-      w.labelled("remo_prof_llc_loads_total", "phase", ph,
-                 c[ProfCounter::kLlcLoads]);
-      w.labelled("remo_prof_llc_misses_total", "phase", ph,
-                 c[ProfCounter::kLlcMisses]);
-      w.labelled("remo_prof_branch_misses_total", "phase", ph,
-                 c[ProfCounter::kBranchMisses]);
-      w.labelled("remo_prof_stalled_cycles_total", "phase", ph,
-                 c[ProfCounter::kStalledCycles]);
-      w.labelled("remo_prof_dtlb_loads_total", "phase", ph,
-                 c[ProfCounter::kDtlbLoads]);
-      w.labelled("remo_prof_dtlb_misses_total", "phase", ph,
-                 c[ProfCounter::kDtlbMisses]);
-      w.labelled("remo_prof_minor_faults_total", "phase", ph,
-                 c[ProfCounter::kMinorFaults]);
-      w.labelled("remo_prof_major_faults_total", "phase", ph,
-                 c[ProfCounter::kMajorFaults]);
-      w.labelled("remo_prof_task_clock_seconds_total", "phase", ph,
-                 static_cast<double>(c[ProfCounter::kTaskClockNs]) / 1e9);
-      w.labelled("remo_prof_ipc", "phase", ph, prof_ipc(c));
-      w.labelled("remo_prof_llc_miss_rate", "phase", ph,
-                 prof_llc_miss_rate(c));
-      w.labelled("remo_prof_dtlb_miss_rate", "phase", ph,
-                 prof_dtlb_miss_rate(c));
+      for (std::size_t k = 0; k < kProfCounterCount; ++k)
+        w.metric(defs[k], c.v[k], "phase", ph);
+      for (std::size_t k = 0; k < kProfRatioCount; ++k)
+        w.metric(defs[kProfCounterCount + k], kProfRatios[k].of(c), "phase", ph);
     }
   }
   return w.str();

@@ -24,12 +24,20 @@
 //    paper's "how far behind is the answer?" in events.
 //  * `staleness_ns`     — wall-clock form: 0 when lag is 0, otherwise time
 //    since the converged watermark last advanced.
+//
+// Rendering: `GaugeSample` is a plain struct the engine fills. The metric
+// tables in gauges.cpp declare each engine gauge once (JSON key,
+// Prometheus family, help, type, unit) and feed both `to_json()` and
+// `to_prometheus()`. Layers above obs append declared `Metric` rows — the
+// serving plane's table lives in serve/serving_gauges.hpp — which render
+// generically, so obs never depends on them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/json.hpp"
@@ -37,6 +45,36 @@
 #include "obs/prof.hpp"
 
 namespace remo::obs {
+
+/// Prometheus type of a declared metric.
+enum class MetricType : std::uint8_t { kCounter, kGauge };
+
+/// Unit of a declared metric. JSON carries the raw value; Prometheus
+/// renders nanoseconds in its base unit, seconds.
+enum class MetricUnit : std::uint8_t { kCount, kNanoseconds };
+
+/// One exported metric, declared once: its JSON key, its Prometheus family
+/// (empty = JSON only), help text, type and unit. Every output format
+/// renders from this declaration. The views must outlive every rendering
+/// of a sample that carries them; the tables use string literals.
+struct MetricDef {
+  std::string_view key;
+  std::string_view prom = {};
+  std::string_view help = {};
+  MetricType type = MetricType::kGauge;
+  MetricUnit unit = MetricUnit::kCount;
+};
+
+/// A sampled value: integers stay exact, ratios stay real.
+using MetricValue = std::variant<std::uint64_t, std::int64_t, double, bool>;
+
+/// A declared metric with its sampled value. `group` nests it one level
+/// down in its JSON block (nullptr = the block itself).
+struct Metric {
+  MetricDef def;
+  MetricValue value;
+  const char* group = nullptr;
+};
 
 /// Map a metric name onto the Prometheus exposition charset
 /// ([a-zA-Z_:][a-zA-Z0-9_:]*): '-', '.', and anything else illegal become
@@ -52,26 +90,16 @@ class PromWriter {
  public:
   /// Emit `# HELP` / `# TYPE` for `name` unless already emitted.
   void header(std::string_view name, std::string_view help, std::string_view type);
+  void header(const MetricDef& d);
 
-  void value(std::string_view name, std::uint64_t v);
-  void value(std::string_view name, std::int64_t v);
-  void value(std::string_view name, double v);
+  /// One sample line: `name v`, or `name{key="label"} v` when `key` is set.
+  void value(std::string_view name, const MetricValue& v,
+             std::string_view key = {}, std::string_view label = {});
 
-  /// One labelled sample line: name{key="label"} v.
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, std::uint64_t v);
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, double v);
-  /// Smaller integer types would otherwise be ambiguous between the
-  /// uint64 and double overloads.
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, int v) {
-    labelled(name, key, label, static_cast<std::uint64_t>(v < 0 ? 0 : v));
-  }
-  void labelled(std::string_view name, std::string_view key,
-                std::string_view label, unsigned v) {
-    labelled(name, key, label, static_cast<std::uint64_t>(v));
-  }
+  /// A declared metric in one call: its header (once) and one sample line.
+  /// Nanosecond values render as seconds; JSON-only metrics emit nothing.
+  void metric(const MetricDef& d, const MetricValue& v,
+              std::string_view key = {}, std::string_view label = {});
 
   const std::string& str() const noexcept { return out_; }
 
@@ -108,53 +136,6 @@ struct RankGaugeSample {
   bool idle = false;                    ///< parked right now
 };
 
-/// Serving-plane gauges riding along in a GaugeSample (schema stays
-/// "remo-gauges-1"; the block is emitted only when `present`). Filled by
-/// the serving layer — serve::fill_serving_gauges() — so dashboards fed by
-/// MetricsExporter see the QueryService/WriteGate/span counters without
-/// the obs layer depending on src/serve.
-struct ServingGauges {
-  bool present = false;
-
-  // QueryService (ServeStats).
-  std::uint64_t queries_served = 0;
-  std::uint64_t refreshes = 0;
-  std::uint64_t served_programs = 0;
-  std::uint64_t read_epoch_lag_events = 0;
-  std::uint64_t view_age_ns = 0;
-
-  // WriteGate (WriteGateStats); gate_present gates emission.
-  bool gate_present = false;
-  std::uint64_t gate_events_submitted = 0;
-  std::uint64_t gate_events_dispatched = 0;
-  std::uint64_t gate_batches = 0;
-  std::uint64_t gate_waves = 0;
-  std::uint64_t gate_serial_fallback_batches = 0;
-  double gate_mean_wave_occupancy = 0.0;
-
-  // Write-path spans (SpanCounts); spans_present gates emission.
-  bool spans_present = false;
-  std::uint64_t spans_sampled = 0;
-  std::uint64_t spans_completed = 0;
-  std::uint64_t spans_open = 0;
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t freshness_p50_ns = 0;
-  std::uint64_t freshness_p99_ns = 0;
-};
-
-/// Hardware-counter gauges riding along in a GaugeSample (schema stays
-/// "remo-gauges-1"; the block is emitted only when `present`). Aggregated
-/// across ranks by Engine::sample_gauges() from the per-rank profilers.
-struct ProfGauges {
-  bool present = false;
-  std::string backend;    ///< resolved backend name ("perf_event", ...)
-  bool degraded = false;  ///< backend != perf_event
-  std::array<CounterSet, kPhaseCount> phase{};  ///< attributed deltas
-  std::array<std::uint64_t, kPhaseCount> attributed_ns{};
-  std::uint64_t reads = 0;
-  std::uint64_t read_failures = 0;
-};
-
 /// A point-in-time reading of every live gauge (schema "remo-gauges-1").
 struct GaugeSample {
   std::uint64_t sample_ns = 0;  ///< engine-relative monotonic sample time
@@ -182,11 +163,16 @@ struct GaugeSample {
 
   std::vector<RankGaugeSample> per_rank;
 
-  /// Serving-plane block (absent unless the serving layer filled it).
-  ServingGauges serving;
+  /// Serving-plane metrics, rendered as the "serving" block; empty unless
+  /// the serving layer appended them (serve/serving_gauges.hpp).
+  std::vector<Metric> serving;
 
-  /// Hardware-counter block (absent unless profiling is enabled).
-  ProfGauges prof;
+  /// Hardware-counter block: the resolved backend name (empty unless
+  /// profiling is enabled), whether it is degraded (not perf_event), and
+  /// the attribution summed across ranks.
+  std::string prof_backend;
+  bool prof_degraded = false;
+  RankProfSnapshot prof;
 
   /// One flight-recorder record (schema "remo-gauges-1"); `dump()` of this
   /// is one JSONL line.

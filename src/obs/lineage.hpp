@@ -85,6 +85,10 @@ struct LineageCellSnapshot {
   Witness witness[kWitnessDepths];
 };
 
+/// Per-rank engine lineage table capacity (causes). Overflow is counted
+/// and dropped, never blocking the hot path.
+inline constexpr std::size_t kLineageCapacity = std::size_t{1} << 12;
+
 /// Fixed-capacity open-addressed cause table. The write side belongs to
 /// one thread (each rank owns one table; the engine's main thread owns one
 /// for API injections — claims there go through a CAS so concurrent

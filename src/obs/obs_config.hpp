@@ -1,7 +1,6 @@
 // Observability switches, embedded in EngineConfig as `obs`.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace remo::obs {
@@ -17,11 +16,12 @@ enum class ProfBackendKind : std::uint8_t {
   kNoop,
 };
 
+/// Per-update latency histograms (one per rank, merged on snapshot) and
+/// per-phase wall-clock accounting are always on; their costs are the
+/// sampled clock reads described below and two clock reads per loop
+/// iteration. Ring and table capacities are constants (kTraceCapacity in
+/// obs/trace.hpp, kLineageCapacity in obs/lineage.hpp).
 struct ObsConfig {
-  /// Per-update latency histograms (one per rank, merged on snapshot).
-  /// When off, topology-event processing skips its two clock reads.
-  bool latency = true;
-
   /// Sample every 2^shift-th topology event into the latency histogram.
   /// 0 records every event and costs ~2 clock reads per event — measured
   /// at 10-18% of saturation ingest throughput on the bench host, which
@@ -29,19 +29,10 @@ struct ObsConfig {
   /// the uniform stride keeps the percentiles statistically valid).
   std::uint32_t latency_sample_shift = 6;
 
-  /// Per-phase wall-clock accounting (ingest / propagate / quiesce /
-  /// snapshot-drain). Two clock reads per *loop iteration* (not per event),
-  /// so the cost is amortised over whole batches.
-  bool phase_timers = true;
-
   /// Chrome-trace event capture. Off by default: the hot path then costs
   /// one branch per loop iteration. (Compile with -DREMO_OBS_NO_TRACE to
   /// remove even that.)
   bool trace = false;
-
-  /// Per-rank trace ring capacity (events). When full, oldest slices are
-  /// overwritten; the export records how many were dropped.
-  std::size_t trace_capacity = std::size_t{1} << 16;
 
   /// Causal lineage tracing (obs/lineage.hpp): stamp sampled topology
   /// events with a CauseId and account the full derived cascade (visitors,
@@ -55,10 +46,6 @@ struct ObsConfig {
   /// stamping + table work under a few percent of ingest throughput while
   /// the uniform stride keeps amplification percentiles valid.
   std::uint32_t lineage_sample_shift = 6;
-
-  /// Per-rank lineage table capacity (causes). Overflow is counted and
-  /// dropped, never blocking the hot path.
-  std::size_t lineage_capacity = std::size_t{1} << 12;
 
   /// Hardware-counter profiling (obs/prof.hpp): per-rank counter groups
   /// read at phase boundaries, attributing cycles / instructions / LLC

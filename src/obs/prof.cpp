@@ -39,32 +39,31 @@ namespace remo::obs {
 // ---------------------------------------------------------------------------
 // Catalog
 
+namespace {
+
+// Name and help text of each ProfCounter, in enum order.
+constexpr std::array<std::array<const char*, 2>, kProfCounterCount> kCounterInfo{{
+    {"cycles", "CPU cycles attributed per phase"},
+    {"instructions", "Instructions retired attributed per phase"},
+    {"llc_loads", "LLC read accesses per phase"},
+    {"llc_misses", "LLC read misses per phase"},
+    {"branch_misses", "Branch misses per phase"},
+    {"stalled_cycles", "Backend-stalled cycles per phase"},
+    {"dtlb_loads", "dTLB read accesses per phase"},
+    {"dtlb_misses", "dTLB read misses per phase"},
+    {"minor_faults", "Minor page faults attributed per phase"},
+    {"major_faults", "Major page faults attributed per phase"},
+    {"task_clock_ns", "On-CPU time attributed per phase"},
+}};
+
+}  // namespace
+
 const char* prof_counter_name(ProfCounter c) noexcept {
-  switch (c) {
-    case ProfCounter::kCycles:
-      return "cycles";
-    case ProfCounter::kInstructions:
-      return "instructions";
-    case ProfCounter::kLlcLoads:
-      return "llc_loads";
-    case ProfCounter::kLlcMisses:
-      return "llc_misses";
-    case ProfCounter::kBranchMisses:
-      return "branch_misses";
-    case ProfCounter::kStalledCycles:
-      return "stalled_cycles";
-    case ProfCounter::kDtlbLoads:
-      return "dtlb_loads";
-    case ProfCounter::kDtlbMisses:
-      return "dtlb_misses";
-    case ProfCounter::kMinorFaults:
-      return "minor_faults";
-    case ProfCounter::kMajorFaults:
-      return "major_faults";
-    case ProfCounter::kTaskClockNs:
-      return "task_clock_ns";
-  }
-  return "?";
+  return kCounterInfo[static_cast<std::size_t>(c)][0];
+}
+
+const char* prof_counter_help(ProfCounter c) noexcept {
+  return kCounterInfo[static_cast<std::size_t>(c)][1];
 }
 
 const char* prof_backend_name(ProfBackendKind k) noexcept {
@@ -429,18 +428,22 @@ double prof_dtlb_miss_rate(const CounterSet& c) noexcept {
                : 0.0;
 }
 
-namespace {
+const ProfRatio kProfRatios[kProfRatioCount] = {
+    {"ipc", "Instructions per cycle per phase", prof_ipc},
+    {"llc_miss_rate", "LLC read miss rate per phase", prof_llc_miss_rate},
+    {"dtlb_miss_rate", "dTLB read miss rate per phase", prof_dtlb_miss_rate},
+};
 
 Json phase_block_json(const CounterSet& c, std::uint64_t attributed_ns) {
   Json b = Json::object();
   for (std::size_t i = 0; i < kProfCounterCount; ++i)
     b[prof_counter_name(static_cast<ProfCounter>(i))] = c.v[i];
   b["attributed_ns"] = attributed_ns;
-  b["ipc"] = prof_ipc(c);
-  b["llc_miss_rate"] = prof_llc_miss_rate(c);
-  b["dtlb_miss_rate"] = prof_dtlb_miss_rate(c);
+  for (const ProfRatio& r : kProfRatios) b[r.name] = r.of(c);
   return b;
 }
+
+namespace {
 
 Json rank_json(const RankProfSnapshot& r, bool totals) {
   Json j = Json::object();

@@ -66,7 +66,10 @@ enum class ProfCounter : std::uint8_t {
 };
 inline constexpr std::size_t kProfCounterCount = 11;
 
+/// JSON key (and `remo_prof_<name>_total` Prometheus family; a `_ns`
+/// counter renders as `_seconds`) and help text of a counter.
 const char* prof_counter_name(ProfCounter c) noexcept;
+const char* prof_counter_help(ProfCounter c) noexcept;
 
 /// One reading (or delta) of every counter. Counters a backend cannot
 /// provide stay zero; `available` masks tell consumers which are real.
@@ -201,6 +204,20 @@ double prof_branch_miss_per_kinst(const CounterSet& c) noexcept;
 double prof_stalled_frac(const CounterSet& c) noexcept;
 double prof_dtlb_miss_rate(const CounterSet& c) noexcept;
 
+/// The derived ratios every per-phase block reports, declared once: JSON
+/// key (and `remo_prof_<name>` Prometheus family), help text, formula.
+struct ProfRatio {
+  const char* name;
+  const char* help;
+  double (*of)(const CounterSet&) noexcept;
+};
+inline constexpr std::size_t kProfRatioCount = 3;
+extern const ProfRatio kProfRatios[kProfRatioCount];
+
+/// One phase's attribution block: every counter, `attributed_ns`, then the
+/// ratios (the per-phase object of remo-prof-1 and of the gauge stream).
+Json phase_block_json(const CounterSet& c, std::uint64_t attributed_ns);
+
 /// Per-rank counter-group owner. Single-writer (the owning rank thread)
 /// for on_phase(); accumulators are relaxed atomics so snapshot() can run
 /// concurrently from the main thread.
@@ -228,7 +245,8 @@ class RankProfiler {
   std::uint32_t available() const noexcept { return backend_->available(); }
 
   /// Phase-boundary hook (rank thread only): `ns` wall-clock just spent in
-  /// phase `p`. Mirrors PhaseTimers::add call sites exactly.
+  /// phase `p`. The engine calls it together with PhaseTimers::add, from
+  /// its one phase clock.
   void on_phase(Phase p, std::uint64_t ns) noexcept;
 
   /// Force a counter read now, attributing all pending wall-clock (rank

@@ -28,34 +28,10 @@ Json phases_to_json(const PhaseSnapshot& p) {
 
 namespace {
 
-Json counters_to_json(const MetricsSummary& c) {
+Json counters_json(const MetricsSummary& c) {
   Json j = Json::object();
-  j["topology_events"] = c.topology_events;
-  j["algorithm_events"] = c.algorithm_events;
-  j["messages_sent"] = c.messages_sent;
-  j["remote_messages"] = c.remote_messages;
-  j["local_messages"] = c.local_messages;
-  j["control_messages"] = c.control_messages;
-  j["edges_stored"] = c.edges_stored;
-  j["coalesced_sends"] = c.coalesced_sends;
-  j["receiver_merges"] = c.receiver_merges;
-  j["ring_overflows"] = c.ring_overflows;
+  for (const CounterField& f : kCounterFields) j[f.name] = c.*f.value;
   return j;
-}
-
-MetricsSummary summary_of(const RankMetrics& m) {
-  MetricsSummary s;
-  s.topology_events = m.topology_events;
-  s.algorithm_events = m.algorithm_events;
-  s.messages_sent = m.messages_sent;
-  s.remote_messages = m.remote_messages;
-  s.local_messages = m.local_messages;
-  s.edges_stored = m.edges_stored;
-  s.control_messages = m.control_messages;
-  s.coalesced_sends = m.coalesced_sends;
-  s.receiver_merges = m.receiver_merges;
-  s.ring_overflows = m.ring_overflows;
-  return s;
 }
 
 }  // namespace
@@ -64,7 +40,7 @@ Json MetricsSnapshot::to_json(bool include_per_rank) const {
   Json j = Json::object();
   j["schema"] = "remo-stats-1";
   j["ranks"] = per_rank.size();
-  j["counters"] = counters_to_json(counters);
+  j["counters"] = counters_json(counters);
   j["update_latency"] = histogram_to_json(update_latency_ns);
   j["phases"] = phases_to_json(phases);
   if (lineage_enabled) j["lineage"] = lineage.to_json();
@@ -74,7 +50,7 @@ Json MetricsSnapshot::to_json(bool include_per_rank) const {
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
       Json jr = Json::object();
       jr["rank"] = r;
-      jr["counters"] = counters_to_json(summary_of(per_rank[r].counters));
+      jr["counters"] = counters_json(per_rank[r].counters);
       jr["update_latency"] = histogram_to_json(per_rank[r].update_latency_ns);
       jr["phases"] = phases_to_json(per_rank[r].phases);
       ranks.push_back(std::move(jr));

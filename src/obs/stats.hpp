@@ -20,7 +20,7 @@
 namespace remo::obs {
 
 struct RankObs {
-  RankMetrics counters;
+  MetricsSummary counters;
   HistogramSnapshot update_latency_ns;
   PhaseSnapshot phases;
 };

@@ -54,6 +54,10 @@ struct TraceEvent {
   FlowPhase flow = FlowPhase::kNone;
 };
 
+/// Per-rank engine trace ring capacity (events). When full, the oldest
+/// slices are overwritten; the export records how many were dropped.
+inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 16;
+
 /// Single-writer ring of trace events.
 class TraceBuffer {
  public:

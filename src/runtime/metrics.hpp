@@ -3,13 +3,13 @@
 // Two forms: `LiveRankMetrics` is the recording side living inside each
 // rank's runtime — single-writer relaxed-atomic cells so the main thread
 // (metrics_snapshot, gauge sampling, the metrics exporter) can read them
-// at any time without stopping the engine. `RankMetrics` is the plain
-// value snapshot the aggregation and JSON layers consume.
+// at any time without stopping the engine. `MetricsSummary` is the plain
+// value form, per rank and merged. `kCounterFields` declares each counter
+// once and ties the two forms together.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace remo {
 
@@ -44,51 +44,8 @@ class RelaxedCounter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Plain value form of one rank's counters (snapshots, aggregation, JSON).
-struct RankMetrics {
-  std::uint64_t topology_events = 0;   ///< stream events ingested by this rank
-  std::uint64_t algorithm_events = 0;  ///< visitor callbacks executed
-  std::uint64_t messages_sent = 0;     ///< visitors sent (local + remote)
-  std::uint64_t remote_messages = 0;   ///< visitors that crossed ranks
-  std::uint64_t local_messages = 0;    ///< self-sends (loop-back fast path)
-  std::uint64_t edges_stored = 0;      ///< directed edges resident
-  std::uint64_t control_messages = 0;  ///< termination tokens, markers
-  std::uint64_t coalesced_sends = 0;   ///< visitors merged away in send buffers
-  std::uint64_t receiver_merges = 0;   ///< visitors merged away after drain
-  std::uint64_t ring_overflows = 0;    ///< visitors that spilled past the SPSC rings
-};
-
-/// Recording side: same fields as RankMetrics, as RelaxedCounter cells.
-/// Written only by the owning rank's thread; readable by any thread.
-struct alignas(64) LiveRankMetrics {
-  RelaxedCounter topology_events;
-  RelaxedCounter algorithm_events;
-  RelaxedCounter messages_sent;
-  RelaxedCounter remote_messages;
-  RelaxedCounter local_messages;
-  RelaxedCounter edges_stored;
-  RelaxedCounter control_messages;
-  RelaxedCounter coalesced_sends;
-  RelaxedCounter receiver_merges;
-
-  /// Racy-read value copy (see RelaxedCounter for the semantics).
-  /// `ring_overflows` lives in the mailbox, not here — the engine fills it
-  /// in when it assembles per-rank snapshots.
-  RankMetrics snapshot() const noexcept {
-    RankMetrics s;
-    s.topology_events = topology_events.load();
-    s.algorithm_events = algorithm_events.load();
-    s.messages_sent = messages_sent.load();
-    s.remote_messages = remote_messages.load();
-    s.local_messages = local_messages.load();
-    s.edges_stored = edges_stored.load();
-    s.control_messages = control_messages.load();
-    s.coalesced_sends = coalesced_sends.load();
-    s.receiver_merges = receiver_merges.load();
-    return s;
-  }
-};
-
+/// Plain value form of the engine's counters: one rank's (snapshots) or
+/// the whole engine's (merged). Field names are part of the public API.
 struct MetricsSummary {
   std::uint64_t topology_events = 0;
   std::uint64_t algorithm_events = 0;
@@ -101,22 +58,74 @@ struct MetricsSummary {
   std::uint64_t receiver_merges = 0;
   std::uint64_t ring_overflows = 0;
 
-  static MetricsSummary aggregate(const std::vector<RankMetrics>& per_rank) {
-    MetricsSummary s;
-    for (const auto& m : per_rank) {
-      s.topology_events += m.topology_events;
-      s.algorithm_events += m.algorithm_events;
-      s.messages_sent += m.messages_sent;
-      s.remote_messages += m.remote_messages;
-      s.local_messages += m.local_messages;
-      s.edges_stored += m.edges_stored;
-      s.control_messages += m.control_messages;
-      s.coalesced_sends += m.coalesced_sends;
-      s.receiver_merges += m.receiver_merges;
-      s.ring_overflows += m.ring_overflows;
-    }
-    return s;
-  }
+  inline void merge(const MetricsSummary& other) noexcept;
 };
+
+/// Recording side: the MetricsSummary fields a rank's thread counts, as
+/// RelaxedCounter cells. Written only by the owning rank's thread;
+/// readable by any thread. `ring_overflows` lives in the mailbox, not
+/// here — the engine fills it in when it assembles per-rank snapshots.
+struct alignas(64) LiveRankMetrics {
+  RelaxedCounter topology_events;
+  RelaxedCounter algorithm_events;
+  RelaxedCounter messages_sent;
+  RelaxedCounter remote_messages;
+  RelaxedCounter local_messages;
+  RelaxedCounter edges_stored;
+  RelaxedCounter control_messages;
+  RelaxedCounter coalesced_sends;
+  RelaxedCounter receiver_merges;
+
+  /// Racy-read value copy (see RelaxedCounter for the semantics).
+  inline MetricsSummary snapshot() const noexcept;
+};
+
+/// One engine counter, declared once: its exported name (the JSON key of
+/// `remo-stats-1`), its help text, its value field and its live cell
+/// (nullptr when the rank thread does not count it). Snapshot, merge and
+/// every rendering loop over kCounterFields; adding a counter is one row
+/// here plus its two fields.
+struct CounterField {
+  const char* name;
+  const char* help;
+  std::uint64_t MetricsSummary::*value;
+  RelaxedCounter LiveRankMetrics::*live;
+};
+
+/// Rendering order; `control_messages` precedes `edges_stored` in the
+/// emitted JSON, unlike the structs.
+inline constexpr CounterField kCounterFields[] = {
+    {"topology_events", "stream events ingested by this rank",
+     &MetricsSummary::topology_events, &LiveRankMetrics::topology_events},
+    {"algorithm_events", "visitor callbacks executed",
+     &MetricsSummary::algorithm_events, &LiveRankMetrics::algorithm_events},
+    {"messages_sent", "visitors sent (local + remote + control)",
+     &MetricsSummary::messages_sent, &LiveRankMetrics::messages_sent},
+    {"remote_messages", "visitors that crossed ranks",
+     &MetricsSummary::remote_messages, &LiveRankMetrics::remote_messages},
+    {"local_messages", "self-sends (loop-back fast path)",
+     &MetricsSummary::local_messages, &LiveRankMetrics::local_messages},
+    {"control_messages", "termination tokens, markers",
+     &MetricsSummary::control_messages, &LiveRankMetrics::control_messages},
+    {"edges_stored", "directed edges resident",
+     &MetricsSummary::edges_stored, &LiveRankMetrics::edges_stored},
+    {"coalesced_sends", "visitors merged away in send buffers",
+     &MetricsSummary::coalesced_sends, &LiveRankMetrics::coalesced_sends},
+    {"receiver_merges", "visitors merged away after drain",
+     &MetricsSummary::receiver_merges, &LiveRankMetrics::receiver_merges},
+    {"ring_overflows", "visitors that spilled past the SPSC rings",
+     &MetricsSummary::ring_overflows, nullptr},
+};
+
+void MetricsSummary::merge(const MetricsSummary& other) noexcept {
+  for (const CounterField& f : kCounterFields) this->*f.value += other.*f.value;
+}
+
+MetricsSummary LiveRankMetrics::snapshot() const noexcept {
+  MetricsSummary s;
+  for (const CounterField& f : kCounterFields)
+    if (f.live) s.*f.value = (this->*f.live).load();
+  return s;
+}
 
 }  // namespace remo

@@ -135,15 +135,6 @@ TEST(EngineObservability, SamplingReducesSampleCount) {
             snap.counters.topology_events / 16 + 2 * engine.num_ranks());
 }
 
-TEST(EngineObservability, DisablingLatencyYieldsNoSamples) {
-  const EdgeList edges = test_edges();
-  EngineConfig cfg{.num_ranks = 2};
-  cfg.obs.latency = false;
-  Engine engine(cfg);
-  engine.ingest(make_streams(edges, 2, StreamOptions{.seed = 3}));
-  EXPECT_EQ(engine.metrics_snapshot().update_latency_ns.count, 0u);
-}
-
 TEST(EngineObservability, PhaseTimersAccountIngestAndPropagate) {
   const EdgeList edges = test_edges();
   Engine engine(EngineConfig{.num_ranks = 2});

@@ -110,8 +110,7 @@ TEST(ProfEngine, SnapshotFlowsIntoStatsAndGauges) {
   EXPECT_EQ(prof->find("schema")->as_string(), "remo-prof-1");
 
   const obs::GaugeSample g = engine.sample_gauges();
-  EXPECT_TRUE(g.prof.present);
-  EXPECT_FALSE(g.prof.backend.empty());
+  EXPECT_FALSE(g.prof_backend.empty());
   ASSERT_NE(g.to_json().find("prof"), nullptr);
 }
 

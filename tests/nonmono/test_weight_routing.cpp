@@ -47,7 +47,7 @@ class RoutingProbe : public VertexProgram {
 
 std::uint64_t stored_edges(const Engine& engine) {
   std::uint64_t total = 0;
-  for (const RankMetrics& m : engine.rank_metrics()) total += m.edges_stored;
+  for (const MetricsSummary& m : engine.rank_metrics()) total += m.edges_stored;
   return total;
 }
 

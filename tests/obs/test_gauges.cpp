@@ -137,7 +137,7 @@ TEST(PromWriter, SanitizesNamesAndEmitsHeadersOncePerMetric) {
   w.value("remo-flaky.metric", std::uint64_t{1});
   w.header("remo-flaky.metric", "help text", "gauge");  // literal duplicate
   w.header("remo_flaky_metric", "other", "counter");    // post-sanitize duplicate
-  w.labelled("remo-flaky.metric", "rank", "0", 2);
+  w.value("remo-flaky.metric", std::uint64_t{2}, "rank", "0");
   const std::string& text = w.str();
 
   const auto count = [&](const std::string& needle) {

@@ -267,9 +267,8 @@ TEST(ProfDerived, RatiosGuardZeroDenominators) {
 
 GaugeSample sample_with_prof() {
   GaugeSample s;
-  s.prof.present = true;
-  s.prof.backend = "scripted";
-  s.prof.degraded = true;
+  s.prof_backend = "scripted";
+  s.prof_degraded = true;
   s.prof.phase[static_cast<std::size_t>(Phase::kPropagate)] =
       make_set(1000, 2000, 100, 10, 4, 200, 5000);
   s.prof.attributed_ns[static_cast<std::size_t>(Phase::kPropagate)] = 5000;

@@ -150,6 +150,7 @@ TEST(QueryService, LiveIngestWithAutoRefreshConvergesToOracle) {
   qs.start();
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> served{false};
   std::thread reader([&] {
     Xoshiro256 rng(3);
     std::uint64_t last_version = 0;
@@ -161,9 +162,13 @@ TEST(QueryService, LiveIngestWithAutoRefreshConvergesToOracle) {
       const auto view = qs.view(id);
       ASSERT_GE(view->version(), last_version);
       last_version = view->version();
+      served.store(true, std::memory_order_release);
     }
   });
 
+  // The reader must be live before ingest starts: a fast ingest could
+  // otherwise finish before the reader thread is first scheduled.
+  while (!served.load(std::memory_order_acquire)) std::this_thread::yield();
   engine.ingest(make_streams(edges, 2));  // blocks until converged
   stop.store(true, std::memory_order_release);
   reader.join();
