@@ -255,9 +255,9 @@ ProgramId Engine::attach(std::shared_ptr<VertexProgram> program) {
   programs_.push_back(std::move(program));
   for (auto& rt : ranks_) rt->progs.emplace_back();
   // Hand the communicator a type-erased combine thunk so same-sender
-  // Update visitors can be merged in the send buffers and drained batches
-  // (runtime/ cannot name VertexProgram; the engine is idle here, and every
-  // later visitor is published-after this write — see Comm::Combiner).
+  // Update visitors can be merged in the send buffers (runtime/ cannot
+  // name VertexProgram; the engine is idle here, and every later visitor
+  // is published-after this write — see Comm::Combiner).
   const VertexProgram* p = programs_.back().get();
   if (cfg_.coalesce && p->can_combine()) {
     comm_.register_combiner(

@@ -28,10 +28,10 @@ struct EngineConfig {
   std::size_t batch_size = 128;
 
   /// Merge same-(program, target, sender, epoch) Update visitors in the
-  /// send buffers and in drained batches via VertexProgram::combine
-  /// (monotone programs that opt in with can_combine(); DESIGN.md §6).
-  /// Off: every visitor travels and is dispatched verbatim — the A/B arm
-  /// for determinism tests and `--no-coalesce`.
+  /// send buffers via VertexProgram::combine (monotone programs that opt in
+  /// with can_combine(); DESIGN.md §6). Off: every visitor travels and is
+  /// dispatched verbatim — the A/B arm for determinism tests and
+  /// `--no-coalesce`.
   bool coalesce = true;
 
   /// Per-producer SPSC ring capacity of each mailbox, in visitors (rounded

@@ -137,16 +137,6 @@ struct RankRuntime {
   std::mutex harvest_mutex;
   std::vector<Snapshot::Entry> harvest_out;
 
-  // Receiver-side coalescing scratch (the drained-batch merge pass in
-  // rank_main): open-addressing slots invalidated wholesale by bumping
-  // the stamp. This rank's thread only.
-  struct MergeSlot {
-    std::uint32_t stamp = 0;
-    std::uint32_t pos = 0;
-  };
-  std::vector<MergeSlot> merge_slots;
-  std::uint32_t merge_stamp = 0;
-
   RankRuntime(StoreConfig store_cfg, Arena* arena) : store(store_cfg, arena) {}
 
   /// Route a visitor to the owner of its target vertex. Taken by value:

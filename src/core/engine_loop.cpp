@@ -559,73 +559,6 @@ void Engine::rank_main(RankId r) {
     process_visitor(rt, v);
   };
 
-  // Receiver-side coalescing: merge later same-(program, target, sender,
-  // epoch) Updates in a drained batch into the earliest occurrence, which
-  // then dispatches once with the combined payload. Each merged-away
-  // visitor DID travel (it was counted in flight and in Safra's balance by
-  // its sender), so it is retired here exactly as if its callback had run
-  // as a no-op: note_processed + on_basic_receive, before dispatch of the
-  // survivors (DESIGN.md §6). Epoch is part of the key, so a visitor can
-  // never smuggle its payload across a versioned-collection boundary.
-  // Re-checked every drain, not cached at thread start: rank threads are
-  // born in the Engine ctor, before any attach() can register a combiner.
-  // The pass runs in fixed-size windows so the probe index stays L2-sized
-  // no matter how large a backlogged drain gets: a multi-hundred-thousand
-  // visitor batch with a proportionally sized index turns every probe into
-  // a cache miss and costs more than the merges save. Duplicates that
-  // straddle a window boundary simply both survive — merging any subset of
-  // duplicates is sound, and same-sender re-offers cluster temporally, so
-  // window-local merging catches nearly all of them.
-  const auto coalesce_batch = [&](std::vector<Visitor>& b) {
-    constexpr std::size_t kWindow = 8192;      // visitors per merge window
-    constexpr std::size_t kSlots = 2 * kWindow;  // 128 KiB of MergeSlot
-    if (rt.merge_slots.size() < kSlots) {
-      rt.merge_slots.assign(kSlots, {});
-      rt.merge_stamp = 0;
-    }
-    const std::uint64_t mask = kSlots - 1;
-    std::size_t w = 0;
-    for (std::size_t win = 0; win < b.size(); win += kWindow) {
-      if (++rt.merge_stamp == 0) {  // uint32 wrap: hard-reset the slots
-        std::fill(rt.merge_slots.begin(), rt.merge_slots.end(),
-                  detail::RankRuntime::MergeSlot{});
-        rt.merge_stamp = 1;
-      }
-      const std::size_t end = std::min(b.size(), win + kWindow);
-      for (std::size_t i = win; i < end; ++i) {
-        const Visitor v = b[i];
-        const Comm::Combiner* c =
-            v.kind == VisitKind::kUpdate ? comm_.combiner(v.algo) : nullptr;
-        if (c == nullptr) {
-          b[w++] = v;
-          continue;
-        }
-        std::uint64_t h = splitmix64(v.target);
-        h = hash_combine(h, v.other);
-        h = hash_combine(h, (static_cast<std::uint64_t>(v.epoch) << 8) | v.algo);
-        for (std::uint64_t s = h & mask;; s = (s + 1) & mask) {
-          auto& slot = rt.merge_slots[s];
-          if (slot.stamp != rt.merge_stamp) {
-            slot.stamp = rt.merge_stamp;
-            slot.pos = static_cast<std::uint32_t>(w);
-            b[w++] = v;
-            break;
-          }
-          Visitor& e = b[slot.pos];
-          if (e.kind == VisitKind::kUpdate && e.algo == v.algo &&
-              e.target == v.target && e.other == v.other && e.epoch == v.epoch) {
-            e.value = c->fn(c->prog, e.value, v.value);
-            comm_.note_processed(v.epoch, r);
-            safra_.on_basic_receive(r);
-            ++rt.metrics.receiver_merges;
-            break;
-          }
-        }
-      }
-    }
-    b.resize(w);
-  };
-
   while (!shutdown_.load(std::memory_order_acquire)) {
     if (park_hook && park_hook->load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -654,12 +587,13 @@ void Engine::rank_main(RankId r) {
 
     // 1) Drain the mailbox + loop-back queue: algorithm events take
     //    priority over new topology pulls (Section V-C's prioritisation).
+    //    Every drained visitor is dispatched as it arrived: same-key
+    //    Updates were already merged in the sender's buffer (Comm::send,
+    //    the one merge point; DESIGN.md §6).
     if (comm_.drain(r, batch)) {
       did_work = true;
       passive_streak = 0;
       rt.obs_control_ns = 0;
-      if (batch.size() > 1 && cfg_.coalesce && comm_.has_combiners())
-        coalesce_batch(batch);
       for (const Visitor& v : batch) {
         if (v.kind == VisitKind::kControl) {
           handle_control(rt, v);

@@ -663,10 +663,14 @@ namespace {
 constexpr std::uint32_t kMaxStackDepth = 64;
 
 // SIGPROF handler scratch: the sampler points the handler at one target at
-// a time; the handler captures into the slot and release-stores done.
+// a time; the handler captures into the slot, notes the thread it ran on
+// and release-stores done. A handler that runs late (after the sampler gave
+// up on its target) is recognised by that thread and dropped, so its stack
+// is never filed under the next target's label.
 struct StackScratch {
   void* frames[kMaxStackDepth];
   std::atomic<int> depth{0};
+  std::atomic<pthread_t> thread{};
   std::atomic<bool> done{false};
 };
 StackScratch g_scratch;
@@ -678,6 +682,7 @@ void stack_signal_handler(int) {
   // after one warm-up call the unwinder does no further allocation.
   const int depth = backtrace(g_scratch.frames, kMaxStackDepth);
   g_scratch.depth.store(depth, std::memory_order_relaxed);
+  g_scratch.thread.store(pthread_self(), std::memory_order_relaxed);
   g_scratch.done.store(true, std::memory_order_release);
 }
 
@@ -740,7 +745,9 @@ struct StackSampler::Impl {
     if (pthread_kill(t.handle, SIGPROF) != 0) return;
     // The handler runs on the target thread; wait briefly for it.
     for (int spin = 0; spin < 4000; ++spin) {
-      if (g_scratch.done.load(std::memory_order_acquire)) {
+      if (g_scratch.done.load(std::memory_order_acquire) &&
+          pthread_equal(g_scratch.thread.load(std::memory_order_relaxed),
+                        t.handle)) {
         record(t, g_scratch.frames,
                g_scratch.depth.load(std::memory_order_relaxed));
         return;
@@ -797,6 +804,14 @@ void StackSampler::stop() {
     if (impl_->thread.joinable()) impl_->thread.join();
   }
   if (impl_->handler_installed) {
+    // A sample whose handler has not run yet is still pending on its target
+    // thread. Restoring SIG_DFL straight away would let it terminate the
+    // process; setting SIG_IGN first discards it (POSIX: a pending signal
+    // whose action becomes SIG_IGN is discarded, blocked or not).
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    sigaction(SIGPROF, &ignore, nullptr);
     sigaction(SIGPROF, &impl_->old_action, nullptr);
     impl_->handler_installed = false;
     g_sampler_running.store(false);

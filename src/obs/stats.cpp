@@ -82,11 +82,9 @@ std::string MetricsSnapshot::to_text() const {
                 with_commas(counters.remote_messages).c_str(),
                 with_commas(counters.control_messages).c_str());
   out += strfmt("  edges_stored      %s\n", with_commas(counters.edges_stored).c_str());
-  if (counters.coalesced_sends || counters.receiver_merges ||
-      counters.ring_overflows) {
-    out += strfmt("  coalesced         %s send-side, %s receiver-side (%s ring overflows)\n",
+  if (counters.coalesced_sends || counters.ring_overflows) {
+    out += strfmt("  coalesced         %s send-side (%s ring overflows)\n",
                   with_commas(counters.coalesced_sends).c_str(),
-                  with_commas(counters.receiver_merges).c_str(),
                   with_commas(counters.ring_overflows).c_str());
   }
   const HistogramSnapshot& h = update_latency_ns;

@@ -3,7 +3,8 @@
 // One mailbox per rank (per-producer SPSC rings, see mailbox.hpp),
 // per-destination send buffers (visitors batch up and flush in groups, like
 // MPI message aggregation) with an optional coalescing index that merges
-// same-key monotone Update visitors before they ever travel, and the
+// same-key monotone Update visitors before they ever travel (the engine's
+// one merge point: receivers dispatch what they drain as is), and the
 // in-flight accounting that backs both the counting termination detector
 // and the epoch-drain logic of versioned snapshots (Section III-D).
 //
@@ -45,13 +46,12 @@ class Comm {
  public:
   /// Type-erased monotone merge hook (a VertexProgram::combine thunk; the
   /// runtime layer cannot see core/). Registered per program id by the
-  /// engine while idle. Slot reads need no atomics: a rank only consults
-  /// combiners_[algo] while holding a visitor of program `algo`, and every
-  /// such visitor was published through a release/acquire chain (mailbox
-  /// ring or overflow mutex) that starts at an injection sequenced after
-  /// register_combiner returned — so the slot write happens-before every
-  /// read of that slot. has_combiners_ IS atomic, because rank threads
-  /// poll it each loop iteration with no such chain.
+  /// engine while idle, and read only by send(), the one merge point. Slot
+  /// reads need no atomics: a rank sends an Update of program `algo` only
+  /// while handling work that reached it through a release/acquire chain
+  /// (mailbox ring, overflow mutex, stream hand-off or trigger mutex)
+  /// starting at an injection sequenced after register_combiner returned —
+  /// so the slot write happens-before every read of that slot.
   using CombineFn = StateWord (*)(const void*, StateWord, StateWord);
   struct Combiner {
     const void* prog = nullptr;
@@ -82,16 +82,6 @@ class Comm {
   /// Register `combine` for program `algo` (engine-idle only; see Combiner).
   void register_combiner(std::uint8_t algo, const void* prog, CombineFn fn) {
     combiners_[algo] = Combiner{prog, fn};
-    has_combiners_.store(true, std::memory_order_release);
-  }
-
-  /// The merge hook for `algo`, or nullptr when none is registered.
-  const Combiner* combiner(std::uint8_t algo) const noexcept {
-    return combiners_[algo].fn != nullptr ? &combiners_[algo] : nullptr;
-  }
-
-  bool has_combiners() const noexcept {
-    return has_combiners_.load(std::memory_order_acquire);
   }
 
   /// Send a visitor from rank `from` to rank `to`. Must be called from the
@@ -109,7 +99,8 @@ class Comm {
   /// Self-sends (`from == to`) take a loop-back fast path: the sender IS
   /// the consumer, so the visitor goes straight onto a thread-private local
   /// queue — no send buffer, no mailbox, no flush round-trip, and no
-  /// coalescing (it would only re-order the cheapest path). FIFO among a
+  /// coalescing (routing self-sends through a send buffer so that they
+  /// could merge measured slower; DESIGN.md §6). FIFO among a
   /// rank's self-sends is trivially preserved; cross-sender order into one
   /// mailbox was never guaranteed. Drain via Comm::drain (not the raw
   /// mailbox) to observe the local queue.
@@ -334,7 +325,6 @@ class Comm {
   // active — the engine serialises versioned collections).
   std::vector<Shard> shards_;
   Combiner combiners_[256] = {};
-  std::atomic<bool> has_combiners_{false};
 };
 
 }  // namespace remo

@@ -55,7 +55,6 @@ struct MetricsSummary {
   std::uint64_t edges_stored = 0;
   std::uint64_t control_messages = 0;
   std::uint64_t coalesced_sends = 0;
-  std::uint64_t receiver_merges = 0;
   std::uint64_t ring_overflows = 0;
 
   inline void merge(const MetricsSummary& other) noexcept;
@@ -74,7 +73,6 @@ struct alignas(64) LiveRankMetrics {
   RelaxedCounter edges_stored;
   RelaxedCounter control_messages;
   RelaxedCounter coalesced_sends;
-  RelaxedCounter receiver_merges;
 
   /// Racy-read value copy (see RelaxedCounter for the semantics).
   inline MetricsSummary snapshot() const noexcept;
@@ -111,8 +109,6 @@ inline constexpr CounterField kCounterFields[] = {
      &MetricsSummary::edges_stored, &LiveRankMetrics::edges_stored},
     {"coalesced_sends", "visitors merged away in send buffers",
      &MetricsSummary::coalesced_sends, &LiveRankMetrics::coalesced_sends},
-    {"receiver_merges", "visitors merged away after drain",
-     &MetricsSummary::receiver_merges, &LiveRankMetrics::receiver_merges},
     {"ring_overflows", "visitors that spilled past the SPSC rings",
      &MetricsSummary::ring_overflows, nullptr},
 };

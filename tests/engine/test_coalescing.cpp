@@ -125,9 +125,8 @@ TEST(Coalescing, CoalescedRunMatchesNoCoalesceRunAndOracle) {
   expect_snapshot_matches_oracle(cc_off, g, static_cc_union_find(g));
 
   // The coalesced run actually coalesced; the reference run provably not.
-  EXPECT_GT(m_on.coalesced_sends + m_on.receiver_merges, 0u);
+  EXPECT_GT(m_on.coalesced_sends, 0u);
   EXPECT_EQ(m_off.coalesced_sends, 0u);
-  EXPECT_EQ(m_off.receiver_merges, 0u);
 }
 
 TEST(Coalescing, MessagePartitionExcludesCoalescedSends) {
@@ -151,14 +150,14 @@ TEST(Coalescing, MessagePartitionExcludesCoalescedSends) {
     EXPECT_EQ(r.counters.local_messages + r.counters.remote_messages +
                   r.counters.control_messages,
               r.counters.messages_sent);
-  EXPECT_GT(snap.counters.coalesced_sends + snap.counters.receiver_merges, 0u);
+  EXPECT_GT(snap.counters.coalesced_sends, 0u);
 }
 
 TEST(Coalescing, InFlightExactlyZeroAtQuiescence) {
   // The sharded in-flight counters must read exactly zero at every
-  // quiescent point even though coalesced sends skip the injected side and
-  // receiver merges retire on the processed side — randomised multi-rank
-  // ingest, mid-stream versioned collections, repeated across seeds.
+  // quiescent point even though coalesced sends never reach the injected
+  // side — randomised multi-rank ingest, mid-stream versioned collections,
+  // repeated across seeds.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const EdgeList edges = generate_erdos_renyi(
         {.num_vertices = 1200, .num_edges = 9600, .seed = 100 + seed});
@@ -193,7 +192,6 @@ TEST(Coalescing, ConfigKnobDisablesMergingEntirely) {
   engine.ingest(make_streams(edges, 2, StreamOptions{.seed = 9}));
   const MetricsSummary m = engine.metrics();
   EXPECT_EQ(m.coalesced_sends, 0u);
-  EXPECT_EQ(m.receiver_merges, 0u);
 }
 
 TEST(Coalescing, DeterministicParentsRunNeverMerges) {
@@ -209,7 +207,6 @@ TEST(Coalescing, DeterministicParentsRunNeverMerges) {
   engine.ingest(make_streams(edges, 2, StreamOptions{.seed = 9}));
   const MetricsSummary m = engine.metrics();
   EXPECT_EQ(m.coalesced_sends, 0u);
-  EXPECT_EQ(m.receiver_merges, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // attribution math, sampling stride, failure handling, JSON round trip,
 // Prometheus exposition, rusage floor, and the stack sampler.
 #include <gtest/gtest.h>
+#include <signal.h>
 
 #include <atomic>
 #include <chrono>
@@ -460,6 +461,33 @@ TEST(StackSamplerTest, FoldedOutputFromBusyThread) {
     ASSERT_NE(sp, std::string::npos) << line;
     EXPECT_GT(std::strtoull(line.c_str() + sp + 1, nullptr, 10), 0u) << line;
   }
+}
+
+// A target that cannot take its sample leaves SIGPROF pending. stop() must
+// discard it: under the default action a late SIGPROF kills the process.
+TEST(StackSamplerTest, StopDiscardsPendingSamples) {
+  if (!StackSampler::supported()) GTEST_SKIP();
+  StackSampler sampler(StackSamplerConfig{/*period_us=*/200, /*max_depth=*/48});
+  ASSERT_TRUE(sampler.start());
+  std::atomic<bool> registered{false};
+  std::atomic<bool> stopped{false};
+  std::thread target([&] {
+    sigset_t prof;
+    sigemptyset(&prof);
+    sigaddset(&prof, SIGPROF);
+    pthread_sigmask(SIG_BLOCK, &prof, nullptr);
+    sampler.register_current_thread("blocked");
+    registered.store(true);
+    while (!stopped.load()) std::this_thread::yield();
+    pthread_sigmask(SIG_UNBLOCK, &prof, nullptr);  // a pending one lands here
+  });
+  while (!registered.load()) std::this_thread::yield();
+  while (sampler.missed() == 0) std::this_thread::yield();
+  sampler.stop();
+  stopped.store(true);
+  target.join();
+  EXPECT_EQ(sampler.samples(), 0u);
+  EXPECT_FALSE(sampler.running());
 }
 
 TEST(StackSamplerTest, OnlyOneInstanceRuns) {

@@ -48,7 +48,6 @@ MetricsSnapshot scripted_snapshot() {
     ro.counters.edges_stored = 5000 + r;
     ro.counters.control_messages = 100 + r;
     ro.counters.coalesced_sends = 7 + r;
-    ro.counters.receiver_merges = 8 + r;
     ro.counters.ring_overflows = 9 + r;
     LatencyHistogram h;
     for (std::uint64_t v : {5u, 150u, 2'000u, 40'000u, 3'000'000u})
@@ -67,7 +66,6 @@ MetricsSnapshot scripted_snapshot() {
   s.counters.edges_stored = 10001;
   s.counters.control_messages = 204;
   s.counters.coalesced_sends = 15;
-  s.counters.receiver_merges = 17;
   s.counters.ring_overflows = 19;
   s.lineage_enabled = true;
   s.lineage.sampled = 31;
@@ -156,7 +154,7 @@ const char* const kStatsJson =
     R"({"schema":"remo-stats-1","ranks":2,"counters":{"topology_events":2001,)"
     R"("algorithm_events":4001,"messages_sent":6004,"remote_messages":801,)"
     R"("local_messages":5001,"control_messages":204,"edges_stored":10001,)"
-    R"("coalesced_sends":15,"receiver_merges":17,"ring_overflows":19},)"
+    R"("coalesced_sends":15,"ring_overflows":19},)"
     R"("update_latency":{"count":10,"min_ns":5,"mean_ns":912646.5,)"
     R"("p50_ns":2047,"p90_ns":3014655,"p99_ns":6000000,"p999_ns":6000000,)"
     R"("max_ns":6000000},"phases":{"ingest_ns":3000000,)"
@@ -234,7 +232,7 @@ const char* const kStatsJson =
     R"("per_rank":[{"rank":0,"counters":{"topology_events":1000,)"
     R"("algorithm_events":2000,"messages_sent":3000,"remote_messages":400,)"
     R"("local_messages":2500,"control_messages":100,"edges_stored":5000,)"
-    R"("coalesced_sends":7,"receiver_merges":8,"ring_overflows":9},)"
+    R"("coalesced_sends":7,"ring_overflows":9},)"
     R"("update_latency":{"count":5,"min_ns":5,"mean_ns":608431,"p50_ns":2047,)"
     R"("p90_ns":3000000,"p99_ns":3000000,"p999_ns":3000000,"max_ns":3000000},)"
     R"("phases":{"ingest_ns":1000000,"propagate_ns":2000000000,)"
@@ -242,7 +240,7 @@ const char* const kStatsJson =
     R"("counters":{"topology_events":1001,"algorithm_events":2001,)"
     R"("messages_sent":3001,"remote_messages":401,"local_messages":2501,)"
     R"("control_messages":101,"edges_stored":5001,"coalesced_sends":8,)"
-    R"("receiver_merges":9,"ring_overflows":10},"update_latency":{"count":5,)"
+    R"("ring_overflows":10},"update_latency":{"count":5,)"
     R"("min_ns":10,"mean_ns":1216862,"p50_ns":4095,"p90_ns":6000000,)"
     R"("p99_ns":6000000,"p999_ns":6000000,"max_ns":6000000},)"
     R"("phases":{"ingest_ns":2000000,"propagate_ns":4000000000,)"
@@ -253,7 +251,7 @@ const char* const kStatsText = R"golden(counters (2 ranks):
   algorithm_events  4,001
   messages_sent     6,004 (5,001 local, 801 remote, 204 control)
   edges_stored      10,001
-  coalesced         15 send-side, 17 receiver-side (19 ring overflows)
+  coalesced         15 send-side (19 ring overflows)
 per-update latency (10 samples):
   p50 2.05 us   p90 3.01 ms   p99 6.00 ms   p99.9 6.00 ms
   min 5 ns   mean 912.65 us   max 6.00 ms

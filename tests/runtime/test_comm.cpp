@@ -157,7 +157,6 @@ Visitor update(VertexId target, VertexId other, StateWord value,
 TEST(CommCoalesce, SameKeyUpdatesMergeInTheSendBuffer) {
   Comm comm(2, /*batch_size=*/16);
   comm.register_combiner(1, nullptr, min_combine);
-  EXPECT_TRUE(comm.has_combiners());
 
   EXPECT_FALSE(comm.send(0, 1, update(7, 3, 10)));  // first: buffered
   EXPECT_TRUE(comm.send(0, 1, update(7, 3, 4)));    // merged away
