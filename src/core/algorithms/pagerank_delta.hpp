@@ -36,13 +36,15 @@
 // hop while the amplitude only decays by d — an exponential storm of
 // ever-smaller messages (observed first-hand: a 4-vertex graph took ~1e9
 // messages to drain to a 1e-9 tolerance). Instead a state-changing
-// callback enqueues one self-addressed *publish token* (a kUpdate to
-// itself carrying kInfiniteState, a value no real ratio can take) and sets
-// the pending flag; every delta that arrives while the token is in flight
-// just folds. When the token surfaces the vertex broadcasts its
-// accumulated ratio once — if the unpublished outgoing mass
-// d * |r - rho_pub * W| still exceeds the tolerance — giving one broadcast
-// per drain cycle instead of one per message. Each broadcast round still
+// callback sends one *publish token* (VertexContext::send_publish, a
+// kPublish visitor to self) and sets the pending flag; every delta that
+// arrives while the token is in flight just folds. When the token surfaces
+// (on_publish) the vertex broadcasts its accumulated ratio once — if the
+// unpublished outgoing mass d * |r - rho_pub * W| still exceeds the
+// tolerance. The engine holds tokens while the owning rank still has
+// stream events to pull, so a bulk load folds every chunk's deltas behind
+// one token per vertex and propagates once; a batch pulled in one chunk
+// surfaces its tokens on the next drain, as before. Each broadcast round
 // shrinks total unpublished mass by a factor d < 1, so the cascade is
 // geometric and quiescence-terminated. Dangling vertices (W = 0) keep
 // their rank and push nothing — the static oracle
@@ -50,8 +52,7 @@
 //
 // Requires an undirected engine (the memo lives on the receiver-side edge)
 // and exclusive ownership of the per-edge memo slot — Engine::attach
-// rejects co-attachment with other programs. Self-loops are not supported:
-// a self-edge's update would be indistinguishable from a publish token.
+// rejects co-attachment with other programs.
 #pragma once
 
 #include <bit>
@@ -104,16 +105,15 @@ class PageRankDelta : public VertexProgram {
     request_publish(ctx);
   }
 
+  void on_publish(VertexContext& ctx) override {
+    // Our publish token surfaced: every delta enqueued before it has been
+    // folded. Broadcast the accumulated ratio (if it moved enough).
+    store_published(ctx, published(ctx).rho, /*pending=*/false);
+    maybe_publish(ctx);
+  }
+
   void on_update(VertexContext& ctx, VertexId from, StateWord from_val,
                  Weight /*w*/) override {
-    if (from == ctx.vertex()) {
-      // Our publish token surfaced: every delta enqueued before it has
-      // been folded. Broadcast the accumulated ratio (if it moved enough).
-      const Published p = published(ctx);
-      store_published(ctx, p.rho, /*pending=*/false);
-      maybe_publish(ctx);
-      return;
-    }
     // Scale by the *receiver-side* stored weight: retraction (on_delete)
     // and rescaling (on_weight_change) use the local store too, so the
     // per-edge invariant stays exact under any interleaving.
@@ -217,7 +217,7 @@ class PageRankDelta : public VertexProgram {
     const Published p = published(ctx);
     if (p.pending) return;
     store_published(ctx, p.rho, /*pending=*/true);
-    ctx.update_single_nbr(ctx.vertex(), kInfiniteState);
+    ctx.send_publish();
   }
 
   void maybe_publish(VertexContext& ctx) {

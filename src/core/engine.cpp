@@ -116,6 +116,11 @@ void VertexContext::update_all_nbrs(StateWord value) {
   });
 }
 
+void VertexContext::send_publish() {
+  rt_->send(Visitor{vertex_, vertex_, 0, kDefaultWeight, VisitKind::kPublish, prog_,
+                    epoch_});
+}
+
 void VertexContext::mark_dirty() { rt_->progs[prog_].dirty.push_back(vertex_); }
 
 void VertexContext::mark_invalid() {

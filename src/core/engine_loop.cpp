@@ -45,7 +45,13 @@ constexpr std::uint32_t kMaxParkShift = 4;  // 200us << 4 = 3.2ms cap
 //    inherit the same version") and once on the live state (emitting
 //    current-epoch visitors, so new-epoch dissemination stays complete);
 //  * old-epoch events at unsplit vertices run once on the shared state,
-//    inheriting the old tag.
+//    inheriting the old tag;
+//  * an old-epoch publish token (kPublish) at a split vertex runs on the
+//    live state only. A publish broadcasts against state the program keeps
+//    unversioned (PageRankDelta's published ratio and edge memos): run on
+//    S_prev it would flip that state between the two views, and every
+//    flip re-sends old-tagged mass that never decays, so the old epoch
+//    would never drain and the cut would never return (DESIGN.md §8).
 template <typename Invoke>
 void Engine::dispatch_views(detail::RankRuntime& rt, const Visitor& v, ProgramId p,
                             TwoTierAdjacency* adj, Invoke&& invoke) {
@@ -54,8 +60,10 @@ void Engine::dispatch_views(detail::RankRuntime& rt, const Visitor& v, ProgramId
   const bool old_event =
       versioned_active_.load(std::memory_order_acquire) && v.epoch != cur_epoch;
   if (old_event && rt.progs[p].prev.contains(v.target)) {
-    VertexContext prev_ctx(rt, p, v.target, adj, v.epoch, /*prev_view=*/true);
-    invoke(prev_ctx);
+    if (v.kind != VisitKind::kPublish) {
+      VertexContext prev_ctx(rt, p, v.target, adj, v.epoch, /*prev_view=*/true);
+      invoke(prev_ctx);
+    }
     VertexContext cur_ctx(rt, p, v.target, adj, cur_epoch, /*prev_view=*/false);
     invoke(cur_ctx);
   } else {
@@ -307,6 +315,11 @@ void Engine::dispatch_visitor(detail::RankRuntime& rt, const Visitor& v) {
       });
       break;
     }
+
+    case VisitKind::kPublish:
+      dispatch_views(rt, v, v.algo, rt.store.adjacency(v.target),
+                     [&](VertexContext& ctx) { programs_[v.algo]->on_publish(ctx); });
+      break;
 
     case VisitKind::kInit: {
       TwoTierAdjacency* adj = rt.store.adjacency(v.target);
@@ -575,6 +588,18 @@ void Engine::rank_main(RankId r) {
     // old-tagged injection from this rank can follow).
     const std::uint16_t iter_epoch = epoch_.load(std::memory_order_acquire);
     rt.epoch_seen.store(iter_epoch, std::memory_order_release);
+
+    // Held publish tokens (Comm::send) wait while this rank's streams are
+    // live, so each vertex's one token covers the deltas of every chunk
+    // pulled meanwhile. They rejoin the loop-back queue, in send order, on
+    // the first iteration the streams are not live: drained, paused, or a
+    // versioned cut waiting for old-epoch work to settle (DESIGN.md §8).
+    // The epoch load above makes a cut's versioned_active_ store visible.
+    if (comm_.has_held(r) &&
+        (rt.stream_remaining.load(std::memory_order_acquire) == 0 ||
+         streams_paused_.load(std::memory_order_acquire) ||
+         versioned_active_.load(std::memory_order_acquire)))
+      comm_.release_held(r);
 
     absorb_pending_triggers(rt);
 

@@ -14,6 +14,7 @@
 //   on_reverse_add— the far side of an undirected insert; nbr_val carries
 //                   the adding vertex's state (vis_val)
 //   on_update     — algorithm-generated propagation (vis_ID, vis_val)
+//   on_publish    — a deferred self-visit requested by send_publish()
 //   on_delete / on_reverse_delete / on_repair_invalidate / on_invalidate /
 //   on_probe      — decremental support; see Engine::repair()
 #pragma once
@@ -125,6 +126,13 @@ class VertexContext {
   /// (paper: update_nbrs).
   void update_all_nbrs(StateWord value);
 
+  /// Ask for one deferred on_publish() call at this vertex (a kPublish
+  /// visitor to self). It runs after every visitor already queued here,
+  /// and while this rank still has stream events to pull the engine holds
+  /// it back until the stream is drained or paused or a versioned cut is
+  /// waiting (DESIGN.md §8). Counted in flight like any visitor.
+  void send_publish();
+
   /// Decremental support (Section VI-B; see Engine::repair):
   /// flag this vertex as a repair anchor — its program will be asked to
   /// re-examine it when the next repair pass starts.
@@ -220,6 +228,9 @@ class VertexProgram {
     (void)value;
     return false;
   }
+
+  /// The deferred self-visit requested by VertexContext::send_publish().
+  virtual void on_publish(VertexContext& ctx) { (void)ctx; }
 
   /// Algorithm instantiation at `ctx.vertex()` (paper: init()).
   virtual void init(VertexContext& ctx) { (void)ctx; }

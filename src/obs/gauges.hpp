@@ -125,7 +125,7 @@ struct alignas(64) RankGauges {
 
 /// One rank's row in a gauge sample.
 struct RankGaugeSample {
-  std::uint64_t queue_depth = 0;        ///< mailbox + loop-back backlog
+  std::uint64_t queue_depth = 0;        ///< mailbox + loop-back + held tokens
   std::uint64_t ring_occupancy = 0;     ///< visitors parked in the SPSC rings
   std::uint64_t overflow_depth = 0;     ///< visitors in the overflow segment
   std::uint64_t events_ingested = 0;    ///< stream events pulled by this rank

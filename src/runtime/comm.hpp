@@ -104,12 +104,19 @@ class Comm {
   /// rank's self-sends is trivially preserved; cross-sender order into one
   /// mailbox was never guaranteed. Drain via Comm::drain (not the raw
   /// mailbox) to observe the local queue.
+  ///
+  /// A kPublish (always self-addressed) is counted in flight here like any
+  /// other visitor but parked on the rank's *held* queue, which only
+  /// release_held moves onto the loop-back queue: the engine keeps publish
+  /// tokens back while the rank still has stream events to pull, so one
+  /// token per vertex covers every chunk's deltas (DESIGN.md §8).
   bool send(RankId from, RankId to, const Visitor& v) {
     auto& pr = *ranks_[from];
     if (from == to) {
       if (v.kind != VisitKind::kControl) note_injected(v.epoch, from);
-      pr.local.push_back(v);
-      pr.local_depth.store(pr.local.size(), std::memory_order_relaxed);
+      (v.kind == VisitKind::kPublish ? pr.held : pr.local).push_back(v);
+      pr.local_depth.store(pr.local.size() + pr.held.size(),
+                           std::memory_order_relaxed);
       return false;
     }
     OutBuf& ob = pr.out[to];
@@ -128,24 +135,40 @@ class Comm {
   }
 
   /// Consumer-side drain of rank `r`'s ingress: the mailbox plus the
-  /// (thread-private) loop-back queue. Must be called from the owning
-  /// thread of `r`. Returns false when both were empty; `out` is replaced.
+  /// (thread-private) loop-back queue; held publish tokens stay put. Must
+  /// be called from the owning thread of `r`. Returns false when both were
+  /// empty; `out` is replaced.
   bool drain(RankId r, std::vector<Visitor>& out) {
     auto& pr = *ranks_[r];
     const bool from_box = pr.box.drain(out);  // clears `out` first
     if (pr.local.empty()) return from_box;
     out.insert(out.end(), pr.local.begin(), pr.local.end());
     pr.local.clear();
-    pr.local_depth.store(0, std::memory_order_relaxed);
+    pr.local_depth.store(pr.held.size(), std::memory_order_relaxed);
     return true;
   }
 
-  /// True when rank `r` has undrained loop-back visitors. Owning thread only.
-  bool local_pending(RankId r) const noexcept { return !ranks_[r]->local.empty(); }
+  /// True when rank `r` holds publish tokens. Owning thread only.
+  bool has_held(RankId r) const noexcept { return !ranks_[r]->held.empty(); }
+
+  /// Append rank `r`'s held publish tokens to its loop-back queue, in the
+  /// order they were sent. Owning thread only.
+  void release_held(RankId r) {
+    auto& pr = *ranks_[r];
+    pr.local.insert(pr.local.end(), pr.held.begin(), pr.held.end());
+    pr.held.clear();
+  }
+
+  /// True when rank `r` has undrained loop-back visitors or held publish
+  /// tokens. Owning thread only.
+  bool local_pending(RankId r) const noexcept {
+    return !ranks_[r]->local.empty() || !ranks_[r]->held.empty();
+  }
 
   /// Ingress backlog of rank `r` — undrained mailbox visitors plus the
-  /// loop-back queue — readable by any thread without locks (the per-rank
-  /// queue-depth gauge; values are slightly stale, never torn).
+  /// loop-back queue and the held publish tokens — readable by any thread
+  /// without locks (the per-rank queue-depth gauge; values are slightly
+  /// stale, never torn).
   std::size_t queue_depth(RankId r) const noexcept {
     const auto& pr = *ranks_[r];
     return pr.box.approx_depth() + pr.local_depth.load(std::memory_order_relaxed);
@@ -267,7 +290,9 @@ class Comm {
     std::vector<OutBuf> out;     // per-destination send buffers
     std::vector<RankId> dirty;   // destinations with listed OutBufs (owner only)
     std::vector<Visitor> local;  // loop-back queue (owning thread only)
-    std::atomic<std::size_t> local_depth{0};  // local.size(), lock-free gauge
+    // local.size() + held.size(), lock-free gauge
+    std::atomic<std::size_t> local_depth{0};
+    std::vector<Visitor> held;   // publish tokens awaiting release_held
   };
 
   struct alignas(64) Shard {

@@ -27,6 +27,10 @@ enum class VisitKind : std::uint8_t {
                  ///< carries the old weight, `weight` the new one. Never
                  ///< decomposed into kReverseDelete + kReverseAdd — that
                  ///< pair would race the repair wave (DESIGN.md §8).
+  kPublish,      ///< deferred self-visit (a memo-delta publish token): runs
+                 ///< at the sender's own vertex after the visitors queued
+                 ///< before it; held by Comm while the rank's streams are
+                 ///< live (DESIGN.md §8)
   kControl,      ///< runtime-internal (termination tokens, markers)
 };
 

@@ -2,7 +2,9 @@
 // mutations, multi-rank schedules, and the serving-plane kRank catalog.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <tuple>
 
 #include "../support.hpp"
@@ -167,6 +169,144 @@ TEST(PageRankDelta, ServedRankViewsDecodeAndOrder) {
   EXPECT_GT(top[0].second, top[1].second);
   EXPECT_NEAR(top[1].second, top[2].second, kAtol);  // leaves tie
 }
+
+// Exact work counters of a bulk load at one rank — the run of `remo
+// generate --kind rmat --scale 10 --seed 1` + `remo ingest --ranks 1
+// --algo pagerank --tolerance 1e-2 --weights 8`. Publish tokens are held
+// while the rank's stream is live, so every chunk's deltas fold behind one
+// token per vertex: 33.3 algorithm events per topology event, where one
+// propagation wave per 64-event stream chunk took 292.9.
+TEST(PageRankDelta, BulkLoadPropagatesOncePerIngest) {
+  const EdgeList edges = generate_rmat(RmatParams{.scale = 10, .seed = 1});
+  const StreamSet streams = make_streams(edges, 1, {.max_weight = 8});
+  const auto load = [&] {
+    Engine engine(EngineConfig{.num_ranks = 1});
+    engine.attach(std::make_shared<PageRankDelta>(
+        PageRankDelta::Options{.tolerance = 1e-2}));
+    engine.ingest(streams);
+    return engine.metrics();
+  };
+  const MetricsSummary a = load();
+  const MetricsSummary b = load();
+  EXPECT_EQ(a.topology_events, b.topology_events);
+  EXPECT_EQ(a.algorithm_events, b.algorithm_events);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.local_messages, b.local_messages);
+  EXPECT_EQ(a.edges_stored, b.edges_stored);
+  ASSERT_EQ(a.topology_events, edges.size());
+  EXPECT_LE(a.algorithm_events, 64 * a.topology_events)
+      << static_cast<double>(a.algorithm_events) /
+             static_cast<double>(a.topology_events)
+      << " algorithm events per topology event";
+}
+
+// Held publish tokens at 2 and 4 ranks: every operation that waits for
+// in-flight work while a stream is still live (a versioned cut, a pause)
+// must see the tokens released, Safra must not terminate over them, and
+// each run must still end within the documented n * tol / (1 - d) of the
+// static fixpoint.
+class PageRankHeldTokens : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr double kTolerance = 1e-3;
+  static constexpr auto kDeadline = std::chrono::seconds(60);
+
+  void SetUp() override {
+    streams_ = make_streams(
+        dedupe_undirected(generate_rmat(RmatParams{.scale = 12, .seed = 5})),
+        static_cast<std::size_t>(GetParam()), {.max_weight = 8, .seed = 3});
+  }
+
+  EngineConfig config() const {
+    return EngineConfig{.num_ranks = static_cast<RankId>(GetParam())};
+  }
+
+  ProgramId attach(Engine& engine) {
+    pr_ = std::make_shared<PageRankDelta>(
+        PageRankDelta::Options{.tolerance = kTolerance});
+    return engine.attach(pr_);
+  }
+
+  std::uint64_t ingested(Engine& engine) const {
+    return engine.sample_gauges().events_ingested;
+  }
+
+  /// Block until the live stream has pulled a tenth of its events.
+  void await_partial_ingest(Engine& engine) const {
+    const auto until = std::chrono::steady_clock::now() + kDeadline;
+    while (ingested(engine) < streams_.total_events() / 10) {
+      ASSERT_LT(std::chrono::steady_clock::now(), until);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
+  /// Summed |rank - oracle| over the loaded graph against the documented
+  /// bound n * tol / (1 - d).
+  void expect_within_bound(Engine& engine, ProgramId id) const {
+    EdgeList weighted;
+    for (std::size_t s = 0; s < streams_.num_streams(); ++s)
+      for (const EdgeEvent& e : streams_.stream(s).events())
+        weighted.push_back(Edge{e.src, e.dst, e.weight});
+    const CsrGraph g = undirected_csr(weighted);
+    const std::vector<double> oracle = static_pagerank(g);
+    double l1 = 0.0;
+    for (CsrGraph::Dense v = 0; v < g.num_vertices(); ++v)
+      l1 += std::abs(pr_->rank_of(engine.state_of(id, g.external_of(v))) -
+                     oracle[v]);
+    const double bound = static_cast<double>(g.num_vertices()) * kTolerance /
+                         (1.0 - pr_->damping());
+    EXPECT_LE(l1, bound);
+  }
+
+  StreamSet streams_;
+  std::shared_ptr<PageRankDelta> pr_;
+};
+
+TEST_P(PageRankHeldTokens, VersionedCutReturnsWhileTheStreamIsLive) {
+  Engine engine(config());
+  const ProgramId id = attach(engine);
+  engine.ingest_async(streams_);
+  await_partial_ingest(engine);
+  const Snapshot cut = engine.collect_versioned(id);
+  // The cut drained its epoch's held tokens instead of waiting for the
+  // stream that holds them back to end.
+  EXPECT_LT(ingested(engine), streams_.total_events());
+  EXPECT_GT(cut.size(), 0u);
+  engine.await_quiescence();
+  expect_within_bound(engine, id);
+}
+
+TEST_P(PageRankHeldTokens, PauseReleasesHeldTokens) {
+  Engine engine(config());
+  const ProgramId id = attach(engine);
+  engine.ingest_async(streams_);
+  await_partial_ingest(engine);
+  engine.pause_streams();
+  // Held tokens count in flight: the engine only goes idle once the
+  // paused ranks have released and drained them.
+  const auto until = std::chrono::steady_clock::now() + kDeadline;
+  while (!engine.idle()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), until);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_LT(ingested(engine), streams_.total_events());
+  const obs::GaugeSample paused = engine.sample_gauges();
+  EXPECT_EQ(paused.in_flight, 0);
+  EXPECT_EQ(paused.queue_depth, 0u);
+  engine.resume_streams();
+  engine.await_quiescence();
+  expect_within_bound(engine, id);
+}
+
+TEST_P(PageRankHeldTokens, ConvergesUnderSafra) {
+  EngineConfig cfg = config();
+  cfg.termination = TerminationMode::kSafra;
+  Engine engine(cfg);
+  const ProgramId id = attach(engine);
+  engine.ingest(streams_);
+  expect_within_bound(engine, id);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, PageRankHeldTokens, ::testing::Values(2, 4));
 
 TEST(PageRankDeltaDeathTest, MemoDeltaProgramRejectsCoAttachment) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";

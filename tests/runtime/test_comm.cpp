@@ -108,6 +108,37 @@ TEST(Comm, SelfSendTakesLoopbackFastPath) {
   EXPECT_FALSE(comm.drain(0, out));  // now fully empty
 }
 
+TEST(Comm, PublishTokensAreHeldUntilReleased) {
+  Comm comm(1);
+  Visitor token = basic(4);
+  token.kind = VisitKind::kPublish;
+  comm.send(0, 0, token);
+  comm.send(0, 0, basic(5));
+  token.target = 6;
+  comm.send(0, 0, token);
+  // Held tokens are in flight and in the backlog, but drain leaves them.
+  EXPECT_EQ(comm.in_flight_total(), 3);
+  EXPECT_EQ(comm.queue_depth(0), 3u);
+  std::vector<Visitor> out;
+  ASSERT_TRUE(comm.drain(0, out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].target, 5u);
+  EXPECT_TRUE(comm.has_held(0));
+  EXPECT_TRUE(comm.local_pending(0));
+  EXPECT_EQ(comm.queue_depth(0), 2u);
+  EXPECT_FALSE(comm.drain(0, out));
+
+  comm.release_held(0);
+  EXPECT_FALSE(comm.has_held(0));
+  EXPECT_EQ(comm.queue_depth(0), 2u);
+  ASSERT_TRUE(comm.drain(0, out));
+  ASSERT_EQ(out.size(), 2u);  // in send order
+  EXPECT_EQ(out[0].target, 4u);
+  EXPECT_EQ(out[1].target, 6u);
+  EXPECT_FALSE(comm.local_pending(0));
+  EXPECT_EQ(comm.queue_depth(0), 0u);
+}
+
 TEST(Comm, DrainMergesMailboxAndLoopback) {
   Comm comm(2);
   comm.send(1, 0, basic(1));  // remote: buffered, then mailbox
