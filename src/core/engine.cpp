@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/radix_sort.hpp"
 #include "common/strfmt.hpp"
 #include "core/engine_detail.hpp"
 
@@ -455,13 +456,12 @@ void Engine::broadcast_control_and_wait(ControlOp op, ProgramId p) {
 Snapshot Engine::harvest(ProgramId p) {
   broadcast_control_and_wait(ControlOp::kHarvest, p);
 
-  std::vector<Snapshot::Entry> entries;
-  for (auto& rt : ranks_) {
-    std::lock_guard guard(rt->harvest_mutex);
-    entries.insert(entries.end(), rt->harvest_out.begin(), rt->harvest_out.end());
-    rt->harvest_out.clear();
+  std::vector<Snapshot::Run> runs(ranks_.size());
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    std::lock_guard guard(ranks_[r]->harvest_mutex);
+    runs[r].swap(ranks_[r]->harvest_out);
   }
-  return Snapshot(std::move(entries), programs_[p]->identity());
+  return Snapshot(std::move(runs), part_, programs_[p]->identity());
 }
 
 Snapshot Engine::collect_quiescent(ProgramId p) {
@@ -486,14 +486,16 @@ Snapshot Engine::collect_aux_quiescent(ProgramId p) {
   const bool was_paused = streams_paused_.load(std::memory_order_acquire);
   pause_streams();
   await_in_flight_zero();
-  std::vector<Snapshot::Entry> entries;
-  for (auto& rt : ranks_) {
-    rt->progs[p].aux.for_each([&](const VertexId& v, StateWord& a) {
-      if (a != kInfiniteState) entries.emplace_back(v, a);
+  std::vector<Snapshot::Run> runs(ranks_.size());
+  Snapshot::Run scratch;
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    ranks_[r]->progs[p].aux.for_each([&](const VertexId& v, StateWord& a) {
+      if (a != kInfiniteState) runs[r].emplace_back(v, a);
     });
+    radix_sort_by_key(runs[r], scratch);
   }
   if (!was_paused) resume_streams();
-  return Snapshot(std::move(entries), kInfiniteState);
+  return Snapshot(std::move(runs), part_, kInfiniteState);
 }
 
 Snapshot Engine::collect_versioned(ProgramId p) {

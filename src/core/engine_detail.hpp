@@ -133,9 +133,13 @@ struct RankRuntime {
   std::vector<PendingTrigger> pending_triggers;
   std::atomic<bool> has_pending{false};
 
-  // Harvest output slot (written by rank, read by main after the ack).
+  // Harvest output slot (written by rank, read by main after the ack):
+  // this rank's run of the snapshot, sorted on the rank thread. The main
+  // thread swaps the run out; harvest_scratch is the radix sort's working
+  // space and keeps its capacity across harvests.
   std::mutex harvest_mutex;
-  std::vector<Snapshot::Entry> harvest_out;
+  Snapshot::Run harvest_out;
+  Snapshot::Run harvest_scratch;
 
   RankRuntime(StoreConfig store_cfg, Arena* arena) : store(store_cfg, arena) {}
 

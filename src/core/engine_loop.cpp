@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "common/radix_sort.hpp"
 #include "common/rng.hpp"
 #include "common/strfmt.hpp"
 #include "core/engine.hpp"
@@ -366,11 +367,13 @@ void Engine::do_harvest(detail::RankRuntime& rt, ProgramId p) {
   {
     std::lock_guard guard(rt.harvest_mutex);
     rt.harvest_out.clear();
+    rt.harvest_out.reserve(pr.cur.size());
     pr.cur.for_each([&](const VertexId& v, StateWord& cur_val) {
       const StateWord* frozen = pr.prev.find(v);
       const StateWord val = frozen ? *frozen : cur_val;
       if (val != identity) rt.harvest_out.emplace_back(v, val);
     });
+    radix_sort_by_key(rt.harvest_out, rt.harvest_scratch);
   }
   // Retire every program's S_prev: the epoch is over for the whole engine,
   // and stale splits would poison the next collection.

@@ -29,6 +29,8 @@ grep -q "snapshot written" "$WORK/ingest.out"
 test -s "$WORK/levels.txt"
 # The source itself must appear at level 1.
 grep -q "^0 1$" "$WORK/levels.txt"
+# Vertices are listed in strictly ascending id order after the header.
+tail -n +2 "$WORK/levels.txt" | sort -c -u -n -k1,1
 
 echo "== ingest CC under Safra termination =="
 "$REMO" ingest --graph "$WORK/g.txt" --ranks 2 --algo cc --safra
@@ -76,5 +78,17 @@ fi
 echo "== usage error paths =="
 if "$REMO" bogus-command 2>/dev/null; then echo "expected failure"; exit 1; fi
 if "$REMO" ingest 2>/dev/null; then echo "expected failure"; exit 1; fi
+# An unknown flag or a malformed number exits 2 and names the flag.
+rc=0
+"$REMO" generate --kind rmat --scale 8 --out "$WORK/u.bin" --bogus-flag 3 \
+    2>"$WORK/err.txt" || rc=$?
+test "$rc" -eq 2
+grep -q -- "--bogus-flag" "$WORK/err.txt"
+test ! -e "$WORK/u.bin"
+rc=0
+"$REMO" ingest --graph "$WORK/g.bin" --ranks abc --algo bfs \
+    2>"$WORK/err.txt" || rc=$?
+test "$rc" -eq 2
+grep -q -- "--ranks" "$WORK/err.txt"
 
 echo "CLI OK"

@@ -3,6 +3,9 @@
 // snapshot-vs-oracle consistency at the cut.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "../support.hpp"
 
 namespace remo::test {
@@ -153,9 +156,17 @@ TEST(Snapshots, CollectionForOneProgramDoesNotDisturbAnother) {
   expect_matches_oracle(engine, cc_id, g, static_cc_union_find(g));
 }
 
+// Routes unsorted entries to their owners' runs under `part`.
+Snapshot make_snapshot(const std::vector<Snapshot::Entry>& entries, Partitioner part,
+                       StateWord identity = kInfiniteState) {
+  std::vector<Snapshot::Run> runs(part.num_ranks());
+  for (const Snapshot::Entry& e : entries) runs[part.owner(e.first)].push_back(e);
+  for (Snapshot::Run& run : runs) std::sort(run.begin(), run.end());
+  return Snapshot(std::move(runs), part, identity);
+}
+
 TEST(Snapshots, SnapshotLookupSemantics) {
-  std::vector<Snapshot::Entry> entries = {{5, 50}, {1, 10}, {3, 30}};
-  const Snapshot snap(std::move(entries), /*identity=*/kInfiniteState);
+  const Snapshot snap = make_snapshot({{5, 50}, {1, 10}, {3, 30}}, Partitioner(2));
   EXPECT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap.at(1), 10u);
   EXPECT_EQ(snap.at(3), 30u);
@@ -163,6 +174,111 @@ TEST(Snapshots, SnapshotLookupSemantics) {
   EXPECT_EQ(snap.at(0), kInfiniteState);
   EXPECT_EQ(snap.at(4), kInfiniteState);
   EXPECT_EQ(snap.at(999), kInfiniteState);
+
+  const Snapshot empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.at(7), kInfiniteState);
+  EXPECT_EQ(empty.begin(), empty.end());
+}
+
+TEST(Snapshots, EqualityIgnoresPartitioningButNotValues) {
+  const std::vector<Snapshot::Entry> entries = {{5, 50}, {1, 10}, {3, 30}, {8, 80}};
+  const Snapshot one = make_snapshot(entries, Partitioner(1));
+  EXPECT_EQ(one, make_snapshot(entries, Partitioner(3)));
+  EXPECT_EQ(one, make_snapshot(entries, Partitioner(4, PartitionMode::kModulo)));
+  EXPECT_NE(one, make_snapshot({{5, 50}, {1, 10}, {3, 31}, {8, 80}}, Partitioner(3)));
+  EXPECT_NE(one, make_snapshot({{5, 50}, {1, 10}, {3, 30}, {9, 80}}, Partitioner(3)));
+  EXPECT_NE(one, make_snapshot({{5, 50}, {1, 10}, {3, 30}}, Partitioner(3)));
+  EXPECT_NE(one, make_snapshot(entries, Partitioner(3), /*identity=*/0));
+  // An entry holding the identity value is still an entry.
+  EXPECT_NE(make_snapshot({{1, kInfiniteState}}, Partitioner(2)),
+            make_snapshot({{2, kInfiniteState}}, Partitioner(2)));
+}
+
+struct CutShape {
+  RankId ranks;
+  PartitionMode mode;
+};
+
+constexpr CutShape kCutShapes[] = {
+    {1, PartitionMode::kHash},   {2, PartitionMode::kHash},
+    {3, PartitionMode::kHash},   {4, PartitionMode::kHash},
+    {2, PartitionMode::kModulo}, {3, PartitionMode::kModulo},
+};
+
+// Sparse enough that some vertices lie outside the source's component.
+EdgeList owner_run_graph() {
+  return generate_erdos_renyi({.num_vertices = 600, .num_edges = 700, .seed = 91});
+}
+
+Snapshot collect_bfs(const EdgeList& edges, VertexId source, CutShape shape) {
+  Engine engine(EngineConfig{.num_ranks = shape.ranks, .partition = shape.mode});
+  auto [id, bfs] = engine.attach_make<DynamicBfs>(source);
+  engine.inject_init(id, source);
+  engine.ingest(make_streams(edges, shape.ranks));
+  return engine.collect_quiescent(id);
+}
+
+TEST(Snapshots, OwnerRoutedLookupMatchesOracleAtEveryRankCount) {
+  const EdgeList edges = owner_run_graph();
+  const CsrGraph g = undirected_csr(edges);
+  const VertexId source = vertex_in_largest_cc(g);
+  const std::vector<StateWord> oracle = static_bfs(g, g.dense_of(source));
+  const std::size_t unreached = static_cast<std::size_t>(
+      std::count(oracle.begin(), oracle.end(), kInfiniteState));
+  ASSERT_GT(unreached, 0u);
+  ASSERT_LT(unreached, oracle.size());
+
+  for (const CutShape shape : kCutShapes) {
+    SCOPED_TRACE(testing::Message() << shape.ranks << " ranks, mode "
+                                    << static_cast<int>(shape.mode));
+    const Snapshot snap = collect_bfs(edges, source, shape);
+    EXPECT_EQ(snap.size(), oracle.size() - unreached);
+    expect_snapshot_matches_oracle(snap, g, oracle);  // reached and unreached
+    for (VertexId v = 1'000'000; v < 1'000'064; ++v)  // never ingested
+      EXPECT_EQ(snap.at(v), kInfiniteState);
+  }
+}
+
+TEST(Snapshots, CutsCompareEqualAcrossRankCountsAndPartitionModes) {
+  const EdgeList edges = owner_run_graph();
+  const VertexId source = vertex_in_largest_cc(undirected_csr(edges));
+  const Snapshot reference = collect_bfs(edges, source, kCutShapes[0]);
+  for (const CutShape shape : kCutShapes) {
+    SCOPED_TRACE(testing::Message() << shape.ranks << " ranks, mode "
+                                    << static_cast<int>(shape.mode));
+    EXPECT_EQ(collect_bfs(edges, source, shape), reference);
+  }
+}
+
+TEST(Snapshots, IterationWalksOwnerRunsInAscendingIdOrder) {
+  const EdgeList edges = owner_run_graph();
+  const VertexId source = vertex_in_largest_cc(undirected_csr(edges));
+  for (const CutShape shape : kCutShapes) {
+    SCOPED_TRACE(testing::Message() << shape.ranks << " ranks, mode "
+                                    << static_cast<int>(shape.mode));
+    const Partitioner part(shape.ranks, shape.mode);
+    const Snapshot snap = collect_bfs(edges, source, shape);
+    std::size_t visited = 0;
+    RankId prev_owner = 0;
+    VertexId prev_id = 0;
+    for (const auto& [v, level] : snap) {
+      const RankId owner = part.owner(v);
+      if (visited > 0) {
+        ASSERT_GE(owner, prev_owner) << "vertex " << v;
+        if (owner == prev_owner) {
+          ASSERT_GT(v, prev_id) << "vertex " << v;
+        }
+      }
+      EXPECT_EQ(snap.at(v), level);
+      prev_owner = owner;
+      prev_id = v;
+      ++visited;
+    }
+    EXPECT_EQ(visited, snap.size());
+    EXPECT_EQ(static_cast<std::size_t>(std::distance(snap.begin(), snap.end())),
+              snap.size());
+  }
 }
 
 }  // namespace

@@ -27,9 +27,7 @@ TEST(CacheFilter, OnOffConvergeIdentically) {
 
   const Snapshot off = run_bfs(edges, source, false);
   const Snapshot on = run_bfs(edges, source, true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.entries().size(); ++i)
-    EXPECT_EQ(off.entries()[i], on.entries()[i]);
+  EXPECT_EQ(off, on);
 }
 
 TEST(CacheFilter, CutsMessagesForMinPrograms) {

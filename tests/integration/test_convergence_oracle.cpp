@@ -130,9 +130,7 @@ TEST(Determinism, ShuffleInvariantFinalState) {
     if (seed == 1u) {
       reference = snap;
     } else {
-      ASSERT_EQ(snap.size(), reference.size());
-      for (std::size_t i = 0; i < snap.entries().size(); ++i)
-        EXPECT_EQ(snap.entries()[i], reference.entries()[i]);
+      EXPECT_EQ(snap, reference);
     }
   }
 }

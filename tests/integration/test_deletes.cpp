@@ -156,9 +156,7 @@ TEST(Deletes, RepairIsIdempotent) {
   const Snapshot first = engine.collect_quiescent(id);
   engine.repair(id);  // nothing dirty: must be a no-op
   const Snapshot second = engine.collect_quiescent(id);
-  ASSERT_EQ(first.entries().size(), second.entries().size());
-  for (std::size_t i = 0; i < first.entries().size(); ++i)
-    EXPECT_EQ(first.entries()[i], second.entries()[i]);
+  EXPECT_EQ(first, second);
 }
 
 TEST(Deletes, VertexRemovalDeletesAllIncidentEdges) {

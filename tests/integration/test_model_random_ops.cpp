@@ -149,9 +149,7 @@ TEST_P(RandomOpsModel, EngineTracksModelThroughRandomOperations) {
       case 7: {  // versioned snapshot while idle degenerates to quiescent
         const Snapshot a = engine.collect_versioned(bfs_id);
         const Snapshot b = engine.collect_quiescent(bfs_id);
-        ASSERT_EQ(a.entries().size(), b.entries().size());
-        for (std::size_t i = 0; i < a.entries().size(); ++i)
-          ASSERT_EQ(a.entries()[i], b.entries()[i]);
+        ASSERT_EQ(a, b);
         break;
       }
       case 8: {  // register a trigger on a random vertex

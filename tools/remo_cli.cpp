@@ -13,21 +13,31 @@
 // Files ending in .txt use the text edge format; everything else the
 // packed binary format (src u64, dst u64, weight u32).
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "remo/remo.hpp"
 
 using namespace remo;
 
 namespace {
+
+// A command line the program cannot mean: an unknown flag, a stray
+// argument or a value that does not parse. main() reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 struct Args {
   std::string command;
@@ -39,9 +49,80 @@ struct Args {
   }
   std::uint64_t num(const std::string& name, std::uint64_t dflt) const {
     auto it = kv.find("--" + name);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == kv.end()) return dflt;
+    const std::string& s = it->second;
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size())
+      throw UsageError("--" + name + " expects an unsigned integer, got '" + s + "'");
+    return v;
+  }
+  double real(const std::string& name, double dflt) const {
+    auto it = kv.find("--" + name);
+    if (it == kv.end()) return dflt;
+    const std::string& s = it->second;
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (s.empty() || end != s.c_str() + s.size())
+      throw UsageError("--" + name + " expects a number, got '" + s + "'");
+    return v;
+  }
+  RankId ranks() const {
+    const std::uint64_t n = num("ranks", 4);
+    if (n == 0 || n > std::numeric_limits<RankId>::max())
+      throw UsageError("--ranks expects a rank count of at least 1, got '" +
+                       str("ranks") + "'");
+    return static_cast<RankId>(n);
   }
 };
+
+// The flags each command reads; anything else on its command line is a
+// usage error rather than a silently ignored typo. nullptr for commands
+// that parse their own arguments or do not exist.
+const std::vector<std::string>* known_flags(const std::string& command) {
+  static const std::vector<std::string> kProf = {
+      "prof", "prof-out", "prof-shift", "prof-backend", "folded", "prof-period-us"};
+  static const auto with_prof = [](std::vector<std::string> flags) {
+    flags.insert(flags.end(), kProf.begin(), kProf.end());
+    return flags;
+  };
+  static const std::map<std::string, std::vector<std::string>> kFlags = {
+      {"generate", {"kind", "scale", "seed", "out"}},
+      {"stats", {"graph"}},
+      {"ingest",
+       with_prof({"graph", "ranks", "streams", "algo", "source", "tolerance",
+                  "weights", "snapshot", "safra", "seed", "batch-size",
+                  "no-coalesce", "stats", "stats-json", "trace", "latency-sample",
+                  "lineage", "lineage-out", "lineage-sample", "watch",
+                  "metrics-out", "metrics-period", "metrics-format", "watchdog"})},
+      {"serve",
+       with_prof({"graph", "ranks", "streams", "source", "queries", "query-threads",
+                  "refresh-ms", "top-k", "safra", "seed", "gate", "gate-batch",
+                  "gate-threads", "spans", "spans-out", "span-sample",
+                  "stats-json", "trace", "metrics-out", "metrics-period",
+                  "metrics-format"})},
+      {"trace-analyze",
+       {"lineage", "top", "min-descendants", "spans", "tail", "tail-pct",
+        "require-complete", "prof"}},
+      {"fuzz",
+       {"seeds", "seed-base", "vertices", "events", "deletes", "mutations",
+        "max-weight", "algo", "out-dir", "keep-going", "no-shrink", "shrink-runs",
+        "query-observer"}},
+      {"fuzz-repro", {"file", "shrink", "shrink-runs", "out", "query-observer"}},
+  };
+  auto it = kFlags.find(command == "prof" ? "ingest" : command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
+void check_flags(const Args& a) {
+  const std::vector<std::string>* known = known_flags(a.command);
+  if (!known) return;
+  for (const auto& [key, value] : a.kv) {
+    if (key.rfind("--", 0) != 0) throw UsageError("unexpected argument '" + key + "'");
+    if (std::find(known->begin(), known->end(), key.substr(2)) == known->end())
+      throw UsageError("unknown flag " + key);
+  }
+}
 
 Args parse(int argc, char** argv) {
   Args a;
@@ -337,7 +418,7 @@ int cmd_ingest(const Args& a) {
   const EdgeList edges = load(path);
 
   EngineConfig cfg;
-  cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4));
+  cfg.num_ranks = a.ranks();
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
   cfg.batch_size = static_cast<std::size_t>(a.num("batch-size", cfg.batch_size));
   if (a.flag("no-coalesce")) cfg.coalesce = false;
@@ -388,7 +469,7 @@ int cmd_ingest(const Args& a) {
     // of 1e-9 is right for small fuzz graphs but cascades graph-wide during
     // live construction at bench scales — loosen it for interactive use.
     PageRankDelta::Options popt;
-    popt.tolerance = std::strtod(a.str("tolerance", "1e-9").c_str(), nullptr);
+    popt.tolerance = a.real("tolerance", 1e-9);
     prog_id = engine.attach(std::make_shared<PageRankDelta>(popt));
   } else if (algo == "none") {
     have_program = false;
@@ -486,7 +567,10 @@ int cmd_ingest(const Args& a) {
       }
       std::fprintf(f, "# vertex state (%s, source=%llu)\n", algo.c_str(),
                    static_cast<unsigned long long>(source));
-      for (const auto& [v, s] : snap)
+      // The snapshot iterates owner run by owner run; the file is sorted.
+      std::vector<Snapshot::Entry> rows(snap.begin(), snap.end());
+      std::sort(rows.begin(), rows.end());
+      for (const auto& [v, s] : rows)
         std::fprintf(f, "%llu %llu\n", static_cast<unsigned long long>(v),
                      static_cast<unsigned long long>(s));
       std::fclose(f);
@@ -569,7 +653,7 @@ int cmd_serve(const Args& a) {
   }
 
   EngineConfig cfg;
-  cfg.num_ranks = static_cast<RankId>(a.num("ranks", 4));
+  cfg.num_ranks = a.ranks();
   if (a.flag("safra")) cfg.termination = TerminationMode::kSafra;
   cfg.obs.trace = !trace_path.empty();
   apply_prof_args(a, cfg);
@@ -872,9 +956,7 @@ int analyze_spans(const Args& a, const std::string& path) {
     return 1;
   }
   if (a.flag("tail")) {
-    double pct = 99.0;
-    if (a.kv.count("--tail-pct"))
-      pct = std::strtod(a.str("tail-pct").c_str(), nullptr);
+    const double pct = a.real("tail-pct", 99.0);
     if (!(pct > 0.0 && pct < 100.0)) {
       std::fprintf(stderr, "--tail-pct wants a percentile in (0, 100)\n");
       return 1;
@@ -1158,10 +1240,8 @@ int cmd_fuzz_repro(const Args& a) {
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args a = parse(argc, argv);
+int dispatch(Args& a, int argc, char** argv) {
+  check_flags(a);
   if (a.command == "generate") return cmd_generate(a);
   if (a.command == "stats") return cmd_stats(a);
   if (a.command == "ingest") return cmd_ingest(a);
@@ -1175,4 +1255,20 @@ int main(int argc, char** argv) {
   if (a.command == "fuzz") return cmd_fuzz(a);
   if (a.command == "fuzz-repro") return cmd_fuzz_repro(a);
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args a = parse(argc, argv);
+  try {
+    return dispatch(a, argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "remo %s: %s (run remo without arguments for usage)\n",
+                 a.command.c_str(), e.what());
+    return 2;
+  } catch (const std::exception& e) {  // e.g. an input file that cannot be read
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }
