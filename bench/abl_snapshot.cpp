@@ -1,8 +1,11 @@
 // Ablation — global state collection strategy (Section III-D): the simple
 // quiescent drain (pauses stream pulls) vs the versioned Chandy-Lamport
 // style collection (streams keep flowing). Reports collection latency and
-// the end-to-end ingestion slowdown caused by collecting repeatedly.
+// the end-to-end ingestion slowdown caused by collecting four times, once
+// each as ingestion passes 20, 40, 60 and 80% of the stream.
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench_util.hpp"
 
@@ -23,10 +26,18 @@ Outcome run(const EdgeList& edges, RankId ranks, bool versioned, int collections
   engine.inject_init(id, source);
 
   const StreamSet streams = make_streams(edges, ranks, StreamOptions{.seed = 7});
+  const std::uint64_t stream_events = streams.total_events();
   Timer total;
   engine.ingest_async(streams);
   std::vector<double> lat;
   for (int i = 0; i < collections; ++i) {
+    // Spread the collections over the stream (20/40/60/80% for four), so
+    // each one cuts a partly built state while ingestion is live.
+    const std::uint64_t due =
+        stream_events * static_cast<std::uint64_t>(i + 1) /
+        static_cast<std::uint64_t>(collections + 1);
+    while (engine.ingested_watermark() < due)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     Timer t;
     const Snapshot s =
         versioned ? engine.collect_versioned(id) : engine.collect_quiescent(id);
@@ -48,7 +59,7 @@ int main() {
   const EdgeList edges = generate_rmat(p);
 
   print_banner("Ablation — snapshot strategy (quiescent pause vs versioned)",
-               strfmt("RMAT scale %u, |E|=%s, %u ranks, 4 collections mid-ingest",
+               strfmt("RMAT scale %u, |E|=%s, %u ranks, collections at 20/40/60/80%% of ingest",
                       p.scale, with_commas(edges.size()).c_str(), ranks));
 
   // Baseline: no collections at all.

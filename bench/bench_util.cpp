@@ -168,22 +168,8 @@ void apply_obs_env(EngineConfig& cfg) {
   }
 }
 
-void apply_comm_env(EngineConfig& cfg) {
-  if (const char* b = std::getenv("REMO_BATCH_SIZE")) {
-    const long n = std::atol(b);
-    if (n > 0) cfg.batch_size = static_cast<std::size_t>(n);
-  }
-  if (const char* off = std::getenv("REMO_NO_COALESCE"); off && *off && *off != '0')
-    cfg.coalesce = false;
-  if (const char* r = std::getenv("REMO_RING_CAPACITY")) {
-    const long n = std::atol(r);
-    if (n > 0) cfg.mailbox_ring_capacity = static_cast<std::size_t>(n);
-  }
-}
-
 Json comm_config_json() {
-  EngineConfig cfg;
-  apply_comm_env(cfg);
+  const EngineConfig cfg;
   Json j = Json::object();
   j["batch_size"] = static_cast<std::uint64_t>(cfg.batch_size);
   j["coalesce"] = cfg.coalesce;

@@ -69,15 +69,9 @@ Json engine_obs_json(const Engine& engine);
 ///   REMO_OBS_PROF_BACKEND   "auto" (default) | "perf" | "rusage" | "noop"
 void apply_obs_env(EngineConfig& cfg);
 
-/// Apply the comm hot-path env knobs (the coalescing/mailbox A/B sweeps):
-///   REMO_BATCH_SIZE     per-destination send-buffer batch size
-///   REMO_NO_COALESCE    "1" disables monotonic visitor coalescing
-///   REMO_RING_CAPACITY  per-producer mailbox SPSC ring capacity
-/// Every BenchReport records the resolved values in its "config" block so
-/// committed A/B evidence is self-describing.
-void apply_comm_env(EngineConfig& cfg);
-
-/// The comm knobs as resolved by apply_comm_env on a default config.
+/// The comm hot-path settings every harness runs with (EngineConfig's
+/// defaults), recorded in each BenchReport's "config" block. The other
+/// arms run through `remo ingest --batch-size/--no-coalesce`.
 Json comm_config_json();
 
 /// When $REMO_LINEAGE_OUT is set and `engine` has lineage tracing on, dump
@@ -128,7 +122,6 @@ SaturationResult measure_saturation(const EdgeList& edges, RankId ranks, int rep
     cfg.num_ranks = ranks;
     cfg.undirected = undirected;
     apply_obs_env(cfg);
-    apply_comm_env(cfg);
     Engine engine(cfg);
     setup(engine);
     const auto exporter = exporter_from_env(engine);

@@ -33,7 +33,6 @@ int main() {
 
   EngineConfig cfg{.num_ranks = ranks};
   apply_obs_env(cfg);
-  apply_comm_env(cfg);
   Engine engine(cfg);
   auto [id, bfs] = engine.attach_make<DynamicBfs>(source);
   engine.inject_init(id, source);

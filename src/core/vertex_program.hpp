@@ -185,10 +185,11 @@ class VertexProgram {
   virtual bool monotone() const { return true; }
 
   /// Which memoization structure backs this program's incremental updates
-  /// (DESIGN.md §8). Purely declarative today — programs implementing
-  /// kMemoPath lean on Engine::repair, kMemoDelta programs self-correct in
-  /// on_weight_change/on_delete — but surfaced so tooling (fig9 bench,
-  /// fuzz case descriptions) can report which policy a run exercised.
+  /// (DESIGN.md §8). Programs implementing kMemoPath lean on
+  /// Engine::repair, kMemoDelta programs self-correct in
+  /// on_weight_change/on_delete. The engine reads it only to give a
+  /// kMemoDelta program the edge-memo slot to itself; tooling can report
+  /// which policy a run exercised.
   virtual MemoizationPolicy memoization_policy() const {
     return MemoizationPolicy::kMemoFree;
   }

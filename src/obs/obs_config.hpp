@@ -55,9 +55,9 @@ struct ObsConfig {
   bool prof = false;
 
   /// Read counters every 2^shift-th phase boundary; pending wall-clock is
-  /// attributed proportionally at the next read. The default keeps the
-  /// prof-on A/B overhead within the repo's ≤3% budget (see
-  /// bench/results/BENCH_fig3_prof_{off,on}.json); 0 reads every boundary.
+  /// attributed proportionally at the next read. The default kept fig3's
+  /// prof-on ingest within 3% of prof-off in interleaved runs
+  /// (docs/OBSERVABILITY.md, "Overhead"); 0 reads every boundary.
   std::uint32_t prof_sample_shift = 4;
 
   /// Counter source; kAuto probes perf_event → rusage → noop.

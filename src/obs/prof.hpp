@@ -26,8 +26,8 @@
 // Cost model: on_phase() is called at loop-iteration granularity (the
 // phase-timer boundaries), and only every 2^sample_shift-th boundary pays
 // the group-read syscall; between reads it just accumulates pending
-// nanoseconds. The shipped default shift keeps prof-on overhead within the
-// repo's ≤3% A/B budget (see bench/results/BENCH_fig3_prof_{off,on}.json).
+// nanoseconds. The shipped default shift kept fig3's prof-on ingest within
+// 3% of prof-off in interleaved runs (docs/OBSERVABILITY.md, "Overhead").
 //
 // A sampled on-CPU profile mode (StackSampler) rides along: a sampler
 // thread periodically signals registered rank threads with SIGPROF, the

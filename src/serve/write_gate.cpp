@@ -7,6 +7,21 @@
 
 namespace remo::serve {
 
+namespace {
+
+/// Waves narrower than this run inline on the pumping thread (fan-out
+/// overhead would exceed the win). Skewed batches degrade gracefully: a
+/// hub vertex's long conflict chain becomes a tail of narrow waves that
+/// inject inline while the wide head waves still fan out.
+constexpr std::size_t kMinWaveParallel = 4;
+/// Whole-batch fallback: when the mean events-per-wave drops below this
+/// (conflict-dominated batch, e.g. one pair's history), wave barriers
+/// would serialise admission anyway, so the batch is injected serially
+/// in-order instead.
+constexpr double kMinOccupancy = 2.0;
+
+}  // namespace
+
 Json WriteGateStats::to_json() const {
   Json j = Json::object();
   j["events_submitted"] = events_submitted;
@@ -119,7 +134,7 @@ void WriteGate::dispatch_batch(const std::vector<EdgeEvent>& batch,
     rec->stage(span, obs::WriteStage::kPartition, t_plan - t_begin);
   }
 
-  if (plan.mean_occupancy() < cfg_.min_occupancy) {
+  if (plan.mean_occupancy() < kMinOccupancy) {
     // Conflict-dominated batch (e.g. a hot pair's history): wave barriers
     // would serialise it anyway, so skip straight to in-order injection.
     for (const EdgeEvent& e : batch) engine_.inject_edge(e);
@@ -143,7 +158,7 @@ void WriteGate::dispatch_batch(const std::vector<EdgeEvent>& batch,
   for (std::size_t w = 0; w < plan.num_waves(); ++w) {
     const std::uint32_t* idx = plan.order.data() + plan.wave_begin[w];
     const std::size_t n = plan.wave_size(w);
-    if (n < cfg_.min_wave_parallel || cfg_.dispatch_threads <= 1) {
+    if (n < kMinWaveParallel || cfg_.dispatch_threads <= 1) {
       inject_slice_timed(batch, idx, n, inj);
     } else {
       dispatch_wave_parallel(batch, idx, n, inj);

@@ -39,16 +39,6 @@ namespace remo::serve {
 struct WriteGateConfig {
   /// Events pulled per pump; submit() auto-pumps when pending reaches this.
   std::size_t batch_limit = 1024;
-  /// Waves narrower than this run inline on the pumping thread (fan-out
-  /// overhead would exceed the win). Skewed batches degrade gracefully:
-  /// a hub vertex's long conflict chain becomes a tail of narrow waves
-  /// that inject inline while the wide head waves still fan out.
-  std::size_t min_wave_parallel = 4;
-  /// Whole-batch fallback: when the mean events-per-wave drops below this
-  /// (conflict-dominated batch — e.g. one pair's history), wave barriers
-  /// would serialise admission anyway, so inject the batch serially
-  /// in-order instead.
-  double min_occupancy = 2.0;
   /// Concurrent injector threads per wave (1 = always serial). The pumping
   /// thread is one of them; dispatch_threads-1 workers are spawned lazily.
   std::size_t dispatch_threads = 2;

@@ -91,4 +91,25 @@ rc=0
 test "$rc" -eq 2
 grep -q -- "--ranks" "$WORK/err.txt"
 
+echo "== bench-compare refuses reports from different configs =="
+# Two remo-bench-1 reports with identical runs whose config blocks differ
+# in one field: the compare must refuse them, and --force must compare
+# them (and pass, since no metric moved).
+for prof in false true; do
+  cat >"$WORK/bench-prof-$prof.json" <<EOF
+{"schema": "remo-bench-1", "name": "fig3", "title": "saturation",
+ "scale_shift": 0, "repeats": 1,
+ "config": {"batch_size": 128, "obs": {"prof": $prof}},
+ "runs": [{"dataset": "rmat-12", "ranks": 2, "events": 65536,
+           "seconds": 0.5, "events_per_second": 131072}]}
+EOF
+done
+rc=0
+"$REMO" bench-compare "$WORK/bench-prof-false.json" "$WORK/bench-prof-true.json" \
+    >"$WORK/compare.out" || rc=$?
+test "$rc" -ne 0
+grep -q "config.obs.prof" "$WORK/compare.out"
+"$REMO" bench-compare "$WORK/bench-prof-false.json" "$WORK/bench-prof-true.json" \
+    --force
+
 echo "CLI OK"

@@ -34,22 +34,6 @@ void expect_ranks_match(Engine& engine, ProgramId id, const PageRankDelta& pr,
   EXPECT_EQ(mismatches, 0u);
 }
 
-/// Fold a weighted event list per unordered pair (last add wins, delete
-/// removes) — the topology the engine converges on.
-EdgeList fold_events(const std::vector<EdgeEvent>& events) {
-  RobinHoodMap<std::uint64_t, Edge> live;
-  for (const EdgeEvent& e : events) {
-    const std::uint64_t key = event_pair_key(e);
-    if (e.op == EdgeOp::kAdd)
-      live.get_or_insert(key) = Edge{e.src, e.dst, e.weight};
-    else
-      live.erase(key);
-  }
-  EdgeList out;
-  live.for_each([&](const std::uint64_t&, Edge& e) { out.push_back(e); });
-  return out;
-}
-
 TEST(PageRankDelta, SingleEdgeConvergesToUnitRanks) {
   Engine engine(EngineConfig{.num_ranks = 1});
   auto pr = std::make_shared<PageRankDelta>();

@@ -9,21 +9,6 @@
 namespace remo::test {
 namespace {
 
-/// Fold a weighted event list per unordered pair (last add wins).
-EdgeList fold_events(const std::vector<EdgeEvent>& events) {
-  RobinHoodMap<std::uint64_t, Edge> live;
-  for (const EdgeEvent& e : events) {
-    const std::uint64_t key = event_pair_key(e);
-    if (e.op == EdgeOp::kAdd)
-      live.get_or_insert(key) = Edge{e.src, e.dst, e.weight};
-    else
-      live.erase(key);
-  }
-  EdgeList out;
-  live.for_each([&](const std::uint64_t&, Edge& e) { out.push_back(e); });
-  return out;
-}
-
 TEST(WeightedSssp, WeightIncreaseRepairsTheStaleSubtree) {
   // 0 -1- 1 -1- 2, alternative 0 -5- 3 -5- 2. dist(2) = 3 via the top path.
   const std::vector<EdgeEvent> base = {{0, 1, 1, EdgeOp::kAdd},

@@ -90,6 +90,22 @@ inline EdgeList dedupe_undirected(const EdgeList& edges) {
   return out;
 }
 
+/// Fold a weighted event list per unordered pair (last add wins, delete
+/// removes): the topology the engine converges on.
+inline EdgeList fold_events(const std::vector<EdgeEvent>& events) {
+  RobinHoodMap<std::uint64_t, Edge> live;
+  for (const EdgeEvent& e : events) {
+    const std::uint64_t key = event_pair_key(e);
+    if (e.op == EdgeOp::kAdd)
+      live.get_or_insert(key) = Edge{e.src, e.dst, e.weight};
+    else
+      live.erase(key);
+  }
+  EdgeList out;
+  live.for_each([&](const std::uint64_t&, Edge& e) { out.push_back(e); });
+  return out;
+}
+
 /// A small deterministic test graph: a path 0-1-2-3 plus a triangle 2-4-5
 /// and an isolated pair 6-7.
 inline EdgeList small_graph() {
