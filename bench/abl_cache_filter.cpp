@@ -39,8 +39,8 @@ Outcome run(const EdgeList& edges, RankId ranks, bool filter, int repeats,
 }  // namespace
 
 int main() {
-  const int repeats = repeats_from_env();
-  const RankId ranks = ranks_from_env({2})[0];
+  const int repeats = bench_repeats_from_env();
+  const RankId ranks = bench_ranks_from_env({2})[0];
   const Dataset data = make_synth_twitter(bench_scale_from_env());
   const VertexId source = data.edges.front().src;
 

@@ -10,7 +10,7 @@ using namespace remo;
 using namespace remo::bench;
 
 int main() {
-  const int repeats = repeats_from_env();
+  const int repeats = bench_repeats_from_env();
   RmatParams p;
   p.scale = static_cast<std::uint32_t>(15 + bench_scale_from_env().scale_shift);
   p.edge_factor = 16;

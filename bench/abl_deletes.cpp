@@ -10,8 +10,8 @@ using namespace remo;
 using namespace remo::bench;
 
 int main() {
-  const int repeats = repeats_from_env();
-  const RankId ranks = ranks_from_env({2})[0];
+  const int repeats = bench_repeats_from_env();
+  const RankId ranks = bench_ranks_from_env({2})[0];
   const EdgeList edges = [] {
     PrefAttachParams p;
     p.num_vertices = std::uint64_t{1}

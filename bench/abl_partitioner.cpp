@@ -53,8 +53,8 @@ Outcome run(const EdgeList& edges, RankId ranks, PartitionMode mode, int repeats
 }  // namespace
 
 int main() {
-  const int repeats = repeats_from_env();
-  const RankId ranks = ranks_from_env({4})[0];
+  const int repeats = bench_repeats_from_env();
+  const RankId ranks = bench_ranks_from_env({4})[0];
   const Dataset data = make_synth_twitter(bench_scale_from_env());
 
   // Two id spaces: the generator's dense sequential ids (benign for both

@@ -51,8 +51,8 @@ Outcome run(const EdgeList& edges, RankId ranks, bool versioned, int collections
 }  // namespace
 
 int main() {
-  const int repeats = repeats_from_env();
-  const RankId ranks = ranks_from_env({2})[0];
+  const int repeats = bench_repeats_from_env();
+  const RankId ranks = bench_ranks_from_env({2})[0];
   RmatParams p;
   p.scale = static_cast<std::uint32_t>(16 + bench_scale_from_env().scale_shift);
   p.edge_factor = 16;

@@ -41,7 +41,7 @@ std::pair<double, double> run(const EdgeList& edges, int repeats) {
 }  // namespace
 
 int main() {
-  const int repeats = repeats_from_env();
+  const int repeats = bench_repeats_from_env();
   RmatParams p;
   p.scale = static_cast<std::uint32_t>(16 + bench_scale_from_env().scale_shift);
   p.edge_factor = 16;

@@ -4,28 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
-#include <sstream>
 
 namespace remo::bench {
-
-std::vector<RankId> ranks_from_env(std::vector<RankId> fallback) {
-  const char* env = std::getenv("REMO_BENCH_RANKS");
-  if (!env) return fallback;
-  std::vector<RankId> out;
-  std::istringstream in(env);
-  unsigned r = 0;
-  while (in >> r)
-    if (r > 0) out.push_back(static_cast<RankId>(r));
-  return out.empty() ? fallback : out;
-}
-
-int repeats_from_env(int fallback) {
-  if (const char* env = std::getenv("REMO_BENCH_REPEATS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
@@ -64,22 +44,18 @@ BenchReport::BenchReport(std::string name, std::string title)
   doc_["name"] = name_;
   doc_["title"] = std::move(title);
   doc_["scale_shift"] = bench_scale_from_env().scale_shift;
-  doc_["repeats"] = repeats_from_env();
+  doc_["repeats"] = bench_repeats_from_env();
   Json config = comm_config_json();
   config["build"] = build_info_json();
   {
-    // Record the observability knobs the environment resolved to, so A/B
-    // evidence (prof on vs off, lineage on vs off) is self-describing and
-    // bench-compare can refuse apples-to-oranges comparisons.
+    // Record the observability switches the environment resolved to, so
+    // A/B evidence (prof on vs off, lineage on vs off) is self-describing
+    // and bench-compare can refuse apples-to-oranges comparisons.
     EngineConfig cfg;
     apply_obs_env(cfg);
     Json obs = Json::object();
     obs["prof"] = cfg.obs.prof;
-    obs["prof_backend"] = obs::prof_backend_name(cfg.obs.prof_backend);
-    obs["prof_sample_shift"] = static_cast<std::uint64_t>(cfg.obs.prof_sample_shift);
     obs["lineage"] = cfg.obs.lineage;
-    obs["lineage_sample_shift"] =
-        static_cast<std::uint64_t>(cfg.obs.lineage_sample_shift);
     config["obs"] = obs;
   }
   doc_["config"] = std::move(config);
@@ -143,29 +119,8 @@ Json engine_obs_json(const Engine& engine) {
 void apply_obs_env(EngineConfig& cfg) {
   if (const char* on = std::getenv("REMO_OBS_LINEAGE"); on && *on && *on != '0')
     cfg.obs.lineage = true;
-  if (const char* s = std::getenv("REMO_OBS_LINEAGE_SHIFT")) {
-    const int shift = std::atoi(s);
-    if (shift >= 0 && shift <= 32)
-      cfg.obs.lineage_sample_shift = static_cast<std::uint32_t>(shift);
-  }
   if (const char* on = std::getenv("REMO_OBS_PROF"); on && *on && *on != '0')
     cfg.obs.prof = true;
-  if (const char* s = std::getenv("REMO_OBS_PROF_SHIFT")) {
-    const int shift = std::atoi(s);
-    if (shift >= 0 && shift <= 31)
-      cfg.obs.prof_sample_shift = static_cast<std::uint32_t>(shift);
-  }
-  if (const char* b = std::getenv("REMO_OBS_PROF_BACKEND")) {
-    const std::string name = b;
-    if (name == "perf" || name == "perf_event")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kPerfEvent;
-    else if (name == "rusage")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kRusage;
-    else if (name == "noop" || name == "none")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kNoop;
-    else if (name == "auto")
-      cfg.obs.prof_backend = obs::ProfBackendKind::kAuto;
-  }
 }
 
 Json comm_config_json() {

@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table harnesses.
 //
-// Environment knobs (apply to every bench binary):
+// Environment knobs (apply to every bench binary; gen/datasets.hpp parses
+// them and rejects malformed values):
 //   REMO_BENCH_SCALE   dataset scale shift (default 0; -2 quarters sizes)
 //   REMO_BENCH_RANKS   space-separated rank counts (default "1 2 4")
 //   REMO_BENCH_REPEATS runs per configuration, averaged (default 3; the
@@ -17,9 +18,6 @@
 #include "remo/remo.hpp"
 
 namespace remo::bench {
-
-std::vector<RankId> ranks_from_env(std::vector<RankId> fallback = {1, 2, 4});
-int repeats_from_env(int fallback = 3);
 
 /// Machine-readable harness output (docs/OBSERVABILITY.md, "BENCH_*.json").
 /// Each harness builds one report and writes `BENCH_<name>.json` into
@@ -58,15 +56,10 @@ Json run_row(const std::string& dataset, RankId ranks, std::uint64_t events,
 /// depth percentiles, cross-rank hop ratio).
 Json engine_obs_json(const Engine& engine);
 
-/// Apply observability env knobs to an engine config (the lineage- and
-/// prof-overhead A/B knobs and CI's lineage-/prof-smoke jobs):
-///   REMO_OBS_LINEAGE        "1" enables lineage tracing ("0"/unset: off)
-///   REMO_OBS_LINEAGE_SHIFT  sampling shift (every 2^shift-th topology
-///                           event traced; default ObsConfig's 6)
-///   REMO_OBS_PROF           "1" enables hardware-counter profiling
-///   REMO_OBS_PROF_SHIFT     counter-read stride shift (every 2^shift-th
-///                           phase boundary read; default ObsConfig's 4)
-///   REMO_OBS_PROF_BACKEND   "auto" (default) | "perf" | "rusage" | "noop"
+/// Apply observability env switches to an engine config (the lineage- and
+/// prof-overhead A/B arms and CI's lineage-/prof-smoke jobs):
+///   REMO_OBS_LINEAGE  "1" enables lineage tracing ("0"/unset: off)
+///   REMO_OBS_PROF     "1" enables hardware-counter profiling
 void apply_obs_env(EngineConfig& cfg);
 
 /// The comm hot-path settings every harness runs with (EngineConfig's

@@ -16,9 +16,9 @@ using namespace remo;
 using namespace remo::bench;
 
 int main() {
-  const int repeats = repeats_from_env();
+  const int repeats = bench_repeats_from_env();
   const Dataset data = make_synth_twitter(bench_scale_from_env());
-  const RankId ranks = ranks_from_env({2})[0];
+  const RankId ranks = bench_ranks_from_env({2})[0];
 
   print_banner("Figure 3 — static vs dynamic strategies",
                strfmt("dataset %s (|E|=%s), %u ranks, %d repeats", data.name.c_str(),

@@ -15,7 +15,7 @@ using namespace remo::bench;
 
 int main() {
   const DatasetScale scale = bench_scale_from_env();
-  const RankId ranks = ranks_from_env({2})[0];
+  const RankId ranks = bench_ranks_from_env({2})[0];
   constexpr int kIntervals = 6;
 
   RmatParams p;

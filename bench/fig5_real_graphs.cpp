@@ -34,8 +34,8 @@ VertexId source_in_largest_cc(const EdgeList& edges) {
 }  // namespace
 
 int main() {
-  const int repeats = repeats_from_env();
-  const auto ranks_list = ranks_from_env();
+  const int repeats = bench_repeats_from_env();
+  const auto ranks_list = bench_ranks_from_env();
   const auto datasets = table1_datasets(bench_scale_from_env());
 
   print_banner("Figure 5 — per-algorithm event rates on real-graph stand-ins",

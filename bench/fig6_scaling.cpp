@@ -12,8 +12,8 @@ using namespace remo;
 using namespace remo::bench;
 
 int main() {
-  const int repeats = repeats_from_env();
-  const auto ranks_list = ranks_from_env();
+  const int repeats = bench_repeats_from_env();
+  const auto ranks_list = bench_ranks_from_env();
   const DatasetScale scale = bench_scale_from_env();
   const std::uint32_t base = static_cast<std::uint32_t>(13 + scale.scale_shift);
 

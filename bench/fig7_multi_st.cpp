@@ -11,8 +11,8 @@ using namespace remo;
 using namespace remo::bench;
 
 int main() {
-  const int repeats = repeats_from_env();
-  const auto ranks_list = ranks_from_env();
+  const int repeats = bench_repeats_from_env();
+  const auto ranks_list = bench_ranks_from_env();
   const Dataset data = make_synth_twitter(bench_scale_from_env());
 
   print_banner("Figure 7 — Multi S-T source-count scaling",

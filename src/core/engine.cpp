@@ -174,8 +174,7 @@ Engine::Engine(EngineConfig cfg)
       safra_(cfg.num_ranks) {
   REMO_CHECK(cfg_.num_ranks > 0);
   trace_base_ns_ = obs::monotonic_ns();
-  const bool tracing = cfg_.obs.trace && obs::kTraceCompiledIn;
-  if (tracing) main_trace_ = std::make_unique<obs::TraceBuffer>(obs::kTraceCapacity);
+  if (cfg_.obs.trace) main_trace_ = std::make_unique<obs::TraceBuffer>(obs::kTraceCapacity);
   if (cfg_.obs.lineage) {
     // CauseId reserves 8 bits for the origin, with 0xFF meaning "main
     // thread" — rank ids must stay below that.
@@ -186,10 +185,9 @@ Engine::Engine(EngineConfig cfg)
   if (cfg_.obs.prof) {
     // Resolve once (the perf_event probe costs a syscall) and give every
     // rank its own backend instance: counter fds are per-thread.
-    prof_backend_kind_ = obs::resolve_prof_backend(cfg_.obs.prof_backend);
+    prof_backend_kind_ = obs::resolve_prof_backend();
     if (cfg_.obs.prof_stacks && obs::StackSampler::supported()) {
-      stack_sampler_ = std::make_unique<obs::StackSampler>(
-          obs::StackSamplerConfig{cfg_.obs.prof_stack_period_us, 48});
+      stack_sampler_ = std::make_unique<obs::StackSampler>();
       stack_sampler_->start();
     }
   }
@@ -202,18 +200,12 @@ Engine::Engine(EngineConfig cfg)
     rt->part = &part_;
     rt->rank = r;
     rt->drop_nth_update = cfg_.debug.drop_nth_update;
-    rt->obs_sample_mask =
-        (std::uint64_t{1} << (cfg_.obs.latency_sample_shift & 63)) - 1;
-    if (tracing) rt->trace = std::make_unique<obs::TraceBuffer>(obs::kTraceCapacity);
-    if (cfg_.obs.lineage) {
+    if (cfg_.obs.trace) rt->trace = std::make_unique<obs::TraceBuffer>(obs::kTraceCapacity);
+    if (cfg_.obs.lineage)
       rt->lineage = std::make_unique<obs::LineageTable>(obs::kLineageCapacity);
-      rt->lineage_sample_mask =
-          (std::uint64_t{1} << (cfg_.obs.lineage_sample_shift & 63)) - 1;
-    }
     if (cfg_.obs.prof)
       rt->prof = std::make_unique<obs::RankProfiler>(
-          r, obs::make_counter_backend(prof_backend_kind_),
-          cfg_.obs.prof_sample_shift);
+          r, obs::make_counter_backend(prof_backend_kind_));
     ranks_.push_back(std::move(rt));
   }
   threads_.reserve(cfg_.num_ranks);
@@ -297,7 +289,7 @@ void Engine::inject_edge(const EdgeEvent& e) {
   // "main thread"; the atomics keep concurrent injectors safe.
   if (main_lineage_ && e.src != e.dst &&
       (main_lineage_seen_.fetch_add(1, std::memory_order_relaxed) &
-       ranks_[0]->lineage_sample_mask) == 0) {
+       detail::kLineageSampleMask) == 0) {
     std::uint32_t seq = main_lineage_seq_.fetch_add(1, std::memory_order_relaxed) &
                         obs::kCauseSeqMask;
     if (seq == 0) seq = 1;
@@ -674,7 +666,6 @@ obs::ProfSnapshot Engine::prof_snapshot() const {
   s.enabled = true;
   s.backend = obs::prof_backend_name(prof_backend_kind_);
   s.degraded = prof_backend_kind_ != obs::ProfBackendKind::kPerfEvent;
-  s.sample_shift = cfg_.obs.prof_sample_shift;
   s.per_rank.reserve(ranks_.size());
   for (const auto& rt : ranks_) {
     s.available |= rt->prof->available();
@@ -844,7 +835,7 @@ obs::GaugeSample Engine::sample_gauges() const {
   }
 
   if (prof_enabled()) {
-    s.prof_backend = obs::prof_backend_name(prof_backend_kind_);
+    s.prof_resolved_backend = obs::prof_backend_name(prof_backend_kind_);
     s.prof_degraded = prof_backend_kind_ != obs::ProfBackendKind::kPerfEvent;
     s.prof.rank = obs::kProfTotalsRank;
     for (const auto& rt : ranks_) s.prof.merge(rt->prof->snapshot());

@@ -16,6 +16,7 @@
 #include "obs/gauges.hpp"
 #include "obs/histogram.hpp"
 #include "obs/lineage.hpp"
+#include "obs/obs_config.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
@@ -31,6 +32,13 @@ namespace remo {
 class Engine;
 
 namespace detail {
+
+/// Masks of the latency and lineage samplers: a rank records every
+/// (mask+1)-th topology event it processes or pulls.
+inline constexpr std::uint64_t kLatencySampleMask =
+    (std::uint64_t{1} << obs::kLatencySampleShift) - 1;
+inline constexpr std::uint64_t kLineageSampleMask =
+    (std::uint64_t{1} << obs::kLineageSampleShift) - 1;
 
 /// A trigger registration travelling from the caller's thread to the
 /// owning rank's thread.
@@ -76,7 +84,6 @@ struct RankRuntime {
   // Hardware-counter profiler (obs/prof.hpp); null unless profiling is on.
   // Fed by on_phase() at the same boundaries as `phases`.
   std::unique_ptr<obs::RankProfiler> prof;
-  std::uint64_t obs_sample_mask = 0;  // record every (mask+1)-th topo event
   std::uint64_t obs_topo_seen = 0;
   std::uint64_t obs_control_ns = 0;  // scratch: snapshot-drain time in batch
 
@@ -86,7 +93,6 @@ struct RankRuntime {
   // per-call-site changes. Both are plain fields — only this rank's thread
   // touches them.
   std::unique_ptr<obs::LineageTable> lineage;  // null unless lineage enabled
-  std::uint64_t lineage_sample_mask = 0;  // sample every (mask+1)-th topo event
   std::uint64_t lineage_topo_seen = 0;
   std::uint32_t lineage_next_seq = 1;  // 24-bit, wraps past 0
   obs::CauseId cur_cause = 0;

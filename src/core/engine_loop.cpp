@@ -566,7 +566,7 @@ void Engine::rank_main(RankId r) {
   // sampled into the per-update latency histogram.
   const auto process_one = [&](const Visitor& v) {
     if ((v.kind == VisitKind::kAdd || v.kind == VisitKind::kDelete) &&
-        (rt.obs_topo_seen++ & rt.obs_sample_mask) == 0) {
+        (rt.obs_topo_seen++ & detail::kLatencySampleMask) == 0) {
       const std::uint64_t t0 = obs::monotonic_ns();
       process_visitor(rt, v);
       rt.update_latency.record(obs::monotonic_ns() - t0);
@@ -679,7 +679,7 @@ void Engine::rank_main(RankId r) {
         // propagation, so a sampled self-loop would only pollute the
         // amplification percentiles with structural zeros.
         if (rt.lineage && e.src != e.dst &&
-            (rt.lineage_topo_seen++ & rt.lineage_sample_mask) == 0) {
+            (rt.lineage_topo_seen++ & detail::kLineageSampleMask) == 0) {
           vis.cause = obs::make_cause(r, rt.lineage_next_seq);
           rt.lineage_next_seq = (rt.lineage_next_seq + 1) & obs::kCauseSeqMask;
           if (rt.lineage_next_seq == 0) rt.lineage_next_seq = 1;

@@ -99,9 +99,9 @@ Json GaugeSample::to_json(bool include_per_rank) const {
   if (safra_mode) put_json(det, safra_metrics(*this));
   j["termination"] = std::move(det);
   if (!serving.empty()) put_json(j["serving"], serving);
-  if (!prof_backend.empty()) {
+  if (!prof_resolved_backend.empty()) {
     Json p = Json::object();
-    p["backend"] = prof_backend;
+    p["backend"] = prof_resolved_backend;
     p["degraded"] = prof_degraded;
     p["reads"] = prof.reads;
     p["read_failures"] = prof.read_failures;
@@ -194,11 +194,11 @@ std::string GaugeSample::to_prometheus() const {
                strfmt("%zu", r));
   }
   for (const Metric& m : serving) w.metric(m.def, m.value);
-  if (!prof_backend.empty()) {
+  if (!prof_resolved_backend.empty()) {
     w.metric({"backend", "remo_prof_backend_info",
               "Resolved profiling backend (1 = active; degraded label set "
               "unless perf_event)"},
-             std::uint64_t{1}, "backend", prof_backend);
+             std::uint64_t{1}, "backend", prof_resolved_backend);
     w.metric({"reads", "remo_prof_reads_total", "Successful counter-group reads",
               kCounter},
              prof.reads);

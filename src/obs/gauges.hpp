@@ -170,7 +170,7 @@ struct GaugeSample {
   /// Hardware-counter block: the resolved backend name (empty unless
   /// profiling is enabled), whether it is degraded (not perf_event), and
   /// the attribution summed across ranks.
-  std::string prof_backend;
+  std::string prof_resolved_backend;
   bool prof_degraded = false;
   RankProfSnapshot prof;
 

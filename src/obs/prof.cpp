@@ -68,8 +68,6 @@ const char* prof_counter_help(ProfCounter c) noexcept {
 
 const char* prof_backend_name(ProfBackendKind k) noexcept {
   switch (k) {
-    case ProfBackendKind::kAuto:
-      return "auto";
     case ProfBackendKind::kPerfEvent:
       return "perf_event";
     case ProfBackendKind::kRusage:
@@ -311,8 +309,7 @@ class NoopBackend final : public CounterBackend {
 
 }  // namespace
 
-ProfBackendKind resolve_prof_backend(ProfBackendKind requested) noexcept {
-  if (requested != ProfBackendKind::kAuto) return requested;
+ProfBackendKind resolve_prof_backend() noexcept {
 #ifdef REMO_HAVE_PERF_EVENT
   if (perf_event_probe()) return ProfBackendKind::kPerfEvent;
 #endif
@@ -324,7 +321,7 @@ ProfBackendKind resolve_prof_backend(ProfBackendKind requested) noexcept {
 }
 
 std::unique_ptr<CounterBackend> make_counter_backend(ProfBackendKind kind) {
-  switch (resolve_prof_backend(kind)) {
+  switch (kind) {
     case ProfBackendKind::kPerfEvent:
 #ifdef REMO_HAVE_PERF_EVENT
       return std::make_unique<PerfEventBackend>();
@@ -333,7 +330,6 @@ std::unique_ptr<CounterBackend> make_counter_backend(ProfBackendKind kind) {
 #endif
     case ProfBackendKind::kRusage:
       return std::make_unique<RusageBackend>();
-    case ProfBackendKind::kAuto:  // unreachable after resolve
     case ProfBackendKind::kNoop:
       break;
   }
@@ -490,7 +486,6 @@ Json ProfSnapshot::to_json() const {
   j["enabled"] = enabled;
   j["backend"] = backend;
   j["degraded"] = degraded;
-  j["sample_shift"] = static_cast<std::uint64_t>(sample_shift);
   Json names = Json::array();
   for (std::size_t i = 0; i < kProfCounterCount; ++i)
     if (available & prof_counter_bit(static_cast<ProfCounter>(i)))
@@ -514,8 +509,6 @@ bool ProfSnapshot::from_json(const Json& doc, ProfSnapshot& out,
   if (const Json* v = doc.find("enabled")) out.enabled = v->as_bool();
   if (const Json* v = doc.find("backend")) out.backend = v->as_string();
   if (const Json* v = doc.find("degraded")) out.degraded = v->as_bool();
-  if (const Json* v = doc.find("sample_shift"))
-    out.sample_shift = static_cast<std::uint32_t>(v->as_uint());
   if (const Json* names = doc.find("counters"); names && names->is_array()) {
     for (const Json& n : names->items())
       for (std::size_t i = 0; i < kProfCounterCount; ++i)
@@ -539,11 +532,8 @@ bool ProfSnapshot::from_json(const Json& doc, ProfSnapshot& out,
 // RankProfiler
 
 RankProfiler::RankProfiler(std::uint32_t rank,
-                           std::unique_ptr<CounterBackend> backend,
-                           std::uint32_t sample_shift)
-    : rank_(rank),
-      backend_(std::move(backend)),
-      sample_mask_((std::uint64_t{1} << std::min(sample_shift, 31u)) - 1) {}
+                           std::unique_ptr<CounterBackend> backend)
+    : rank_(rank), backend_(std::move(backend)) {}
 
 void RankProfiler::attach() {
   if (open_) return;
@@ -557,7 +547,8 @@ void RankProfiler::on_phase(Phase p, std::uint64_t ns) noexcept {
   if (!open_) return;
   boundaries_.fetch_add(1, std::memory_order_relaxed);
   pending_ns_[static_cast<std::size_t>(p)] += ns;
-  if ((++boundary_seq_ & sample_mask_) != 0) return;
+  constexpr std::uint64_t kSampleMask = (std::uint64_t{1} << kProfSampleShift) - 1;
+  if ((++boundary_seq_ & kSampleMask) != 0) return;
   sample_now();
 }
 
@@ -660,15 +651,13 @@ Json proc_rusage_json(const ProcRusage& r) {
 
 namespace {
 
-constexpr std::uint32_t kMaxStackDepth = 64;
-
 // SIGPROF handler scratch: the sampler points the handler at one target at
 // a time; the handler captures into the slot, notes the thread it ran on
 // and release-stores done. A handler that runs late (after the sampler gave
 // up on its target) is recognised by that thread and dropped, so its stack
 // is never filed under the next target's label.
 struct StackScratch {
-  void* frames[kMaxStackDepth];
+  void* frames[kStackMaxDepth];
   std::atomic<int> depth{0};
   std::atomic<pthread_t> thread{};
   std::atomic<bool> done{false};
@@ -680,7 +669,7 @@ void stack_signal_handler(int) {
   // backtrace() is not strictly async-signal-safe, but sampling profilers
   // (gperftools, py-spy's native mode) rely on the same glibc behavior:
   // after one warm-up call the unwinder does no further allocation.
-  const int depth = backtrace(g_scratch.frames, kMaxStackDepth);
+  const int depth = backtrace(g_scratch.frames, kStackMaxDepth);
   g_scratch.depth.store(depth, std::memory_order_relaxed);
   g_scratch.thread.store(pthread_self(), std::memory_order_relaxed);
   g_scratch.done.store(true, std::memory_order_release);
@@ -713,7 +702,6 @@ std::string demangle_frame(const char* symbol) {
 }  // namespace
 
 struct StackSampler::Impl {
-  Config cfg;
   std::mutex mu;  // guards targets + stacks
   struct Target {
     pthread_t handle;
@@ -736,7 +724,7 @@ struct StackSampler::Impl {
         std::lock_guard<std::mutex> lock(mu);
         for (const auto& t : targets) sample_target(t);
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(cfg.period_us));
+      std::this_thread::sleep_for(std::chrono::microseconds(kStackSamplePeriodUs));
     }
   }
 
@@ -758,13 +746,10 @@ struct StackSampler::Impl {
   }
 
   void record(const Target& t, void* const* frames, int depth) {
-    const int max =
-        std::min<int>(depth, static_cast<int>(std::min(cfg.max_depth,
-                                                       kMaxStackDepth)));
-    if (max <= 0) return;
+    if (depth <= 0) return;
     // Skip the handler's own frames (signal trampoline + handler); keep it
     // conservative — symbol filtering at fold time tidies the rest.
-    std::vector<void*> key(frames, frames + max);
+    std::vector<void*> key(frames, frames + depth);
     ++stacks[{t.label, std::move(key)}];
     samples.fetch_add(1, std::memory_order_relaxed);
   }
@@ -772,7 +757,7 @@ struct StackSampler::Impl {
 
 bool StackSampler::supported() noexcept { return true; }
 
-StackSampler::StackSampler(Config cfg) : impl_(new Impl) { impl_->cfg = cfg; }
+StackSampler::StackSampler() : impl_(new Impl) {}
 
 StackSampler::~StackSampler() { stop(); }
 
@@ -877,12 +862,10 @@ std::string StackSampler::folded() {
 
 #else  // !REMO_HAVE_STACK_SAMPLER
 
-struct StackSampler::Impl {
-  Config cfg;
-};
+struct StackSampler::Impl {};
 
 bool StackSampler::supported() noexcept { return false; }
-StackSampler::StackSampler(Config cfg) : impl_(new Impl) { impl_->cfg = cfg; }
+StackSampler::StackSampler() : impl_(new Impl) {}
 StackSampler::~StackSampler() = default;
 bool StackSampler::start() { return false; }
 void StackSampler::stop() {}
@@ -954,8 +937,7 @@ std::string prof_table(const RankProfSnapshot& r, std::uint32_t available) {
 std::string format_prof_report(const ProfSnapshot& snap,
                                const SpanSnapshot* spans) {
   std::string out;
-  out += strfmt("profiling report (backend: %s, sample shift %u)\n",
-                snap.backend.c_str(), snap.sample_shift);
+  out += strfmt("profiling report (backend: %s)\n", snap.backend.c_str());
   if (!snap.enabled) {
     out += "  profiling disabled\n";
     return out;
@@ -967,11 +949,11 @@ std::string format_prof_report(const ProfSnapshot& snap,
         "attribution only\n",
         snap.backend.c_str());
   } else if (snap.available == 0) {
-    // A forced perf_event backend on a host with no PMU access opens
-    // nothing: say so rather than presenting a healthy table of zeros.
+    // The probe's throwaway counter opened, yet the rank threads' groups
+    // did not: say so rather than presenting a healthy table of zeros.
     out +=
         "  !! perf_event backend opened no counters (no PMU on this host?); "
-        "all values below are zero — use --prof-backend auto to fall back\n";
+        "all values below are zero\n";
   }
   const RankProfSnapshot t = snap.totals();
   out += strfmt("\ntotals (%zu rank%s, %" PRIu64 " reads, %" PRIu64
@@ -989,7 +971,7 @@ std::string format_prof_report(const ProfSnapshot& snap,
                   "cycle attribution\n",
                   spans->completed);
     for (std::size_t i = 0; i < kWriteStageCount; ++i) {
-      const auto& h = spans->stages[i].hist;
+      const auto& h = spans->stages[i];
       out += strfmt("  %-14s p50 %10.3f ms   p99 %10.3f ms   count %" PRIu64
                     "\n",
                     write_stage_name(static_cast<WriteStage>(i)),

@@ -19,15 +19,16 @@
 //   noop        structure intact, all counters zero (non-Linux / CI)
 //   scripted    deterministic timelines for unit tests
 //
-// `kAuto` probes in that order at engine construction. Anything but
-// perf_event is reported as *degraded* so downstream consumers (BENCH
-// JSON, trace-analyze) can banner it instead of silently comparing zeros.
+// The engine probes the first three in that order at construction.
+// Anything but perf_event is reported as *degraded* so downstream consumers
+// (BENCH JSON, trace-analyze) can banner it instead of silently comparing
+// zeros.
 //
 // Cost model: on_phase() is called at loop-iteration granularity (the
-// phase-timer boundaries), and only every 2^sample_shift-th boundary pays
-// the group-read syscall; between reads it just accumulates pending
-// nanoseconds. The shipped default shift kept fig3's prof-on ingest within
-// 3% of prof-off in interleaved runs (docs/OBSERVABILITY.md, "Overhead").
+// phase-timer boundaries), and only every 2^kProfSampleShift-th boundary
+// pays the group-read syscall; between reads it just accumulates pending
+// nanoseconds. That stride kept fig3's prof-on ingest within 3% of
+// prof-off in interleaved runs (docs/OBSERVABILITY.md, "Overhead").
 //
 // A sampled on-CPU profile mode (StackSampler) rides along: a sampler
 // thread periodically signals registered rank threads with SIGPROF, the
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "obs/obs_config.hpp"
 #include "obs/phase_timer.hpp"
 
 namespace remo::obs {
@@ -123,15 +123,21 @@ class CounterBackend {
   virtual bool read(CounterSet& out) = 0;
 };
 
+/// The counter sources a process can run on, best first.
+enum class ProfBackendKind : std::uint8_t {
+  kPerfEvent,
+  kRusage,
+  kNoop,
+};
+
 const char* prof_backend_name(ProfBackendKind k) noexcept;
 
-/// Resolve kAuto to the best backend this process can actually use
-/// (probes perf_event with a throwaway counter, then rusage, then noop).
-/// Non-auto kinds pass through unchanged.
-ProfBackendKind resolve_prof_backend(ProfBackendKind requested) noexcept;
+/// The best backend this process can actually use: probes perf_event with
+/// a throwaway counter, then rusage, then noop — so the same binary runs in
+/// locked-down CI containers.
+ProfBackendKind resolve_prof_backend() noexcept;
 
-/// Instantiate a backend. kAuto is resolved internally; callers that need
-/// to know what was picked resolve first and pass the result.
+/// Instantiate a backend of the given kind.
 std::unique_ptr<CounterBackend> make_counter_backend(ProfBackendKind kind);
 
 /// Deterministic backend for tests: read() walks a fixed timeline of
@@ -186,7 +192,6 @@ struct ProfSnapshot {
   bool enabled = false;
   std::string backend;  ///< prof_backend_name of the resolved backend
   bool degraded = false;  ///< true unless backend == perf_event
-  std::uint32_t sample_shift = 0;
   std::uint32_t available = 0;  ///< ProfCounter bitmask
   std::vector<RankProfSnapshot> per_rank;
 
@@ -218,16 +223,16 @@ extern const ProfRatio kProfRatios[kProfRatioCount];
 /// ratios (the per-phase object of remo-prof-1 and of the gauge stream).
 Json phase_block_json(const CounterSet& c, std::uint64_t attributed_ns);
 
+/// Read counters every 2^shift-th phase boundary; pending wall-clock is
+/// attributed proportionally at the next read.
+inline constexpr std::uint32_t kProfSampleShift = 4;
+
 /// Per-rank counter-group owner. Single-writer (the owning rank thread)
 /// for on_phase(); accumulators are relaxed atomics so snapshot() can run
 /// concurrently from the main thread.
 class RankProfiler {
  public:
-  /// `sample_shift`: pay the backend read() only every 2^shift-th phase
-  /// boundary; pending wall-clock is attributed proportionally at the next
-  /// read. 0 reads at every boundary (exact attribution, highest cost).
-  RankProfiler(std::uint32_t rank, std::unique_ptr<CounterBackend> backend,
-               std::uint32_t sample_shift);
+  RankProfiler(std::uint32_t rank, std::unique_ptr<CounterBackend> backend);
 
   RankProfiler(const RankProfiler&) = delete;
   RankProfiler& operator=(const RankProfiler&) = delete;
@@ -260,7 +265,6 @@ class RankProfiler {
 
   const std::uint32_t rank_;
   std::unique_ptr<CounterBackend> backend_;
-  const std::uint64_t sample_mask_;
   std::atomic<bool> active_{false};
   bool open_ = false;  // rank-thread view of active_
 
@@ -300,24 +304,20 @@ Json proc_rusage_json(const ProcRusage& r);
 // ---------------------------------------------------------------------------
 // Sampled on-CPU stacks (folded / flamegraph output)
 
+inline constexpr std::uint32_t kStackSamplePeriodUs = 1000;  ///< per target thread
+inline constexpr std::uint32_t kStackMaxDepth = 48;          ///< frames kept
+
 /// Periodically interrupts registered threads with SIGPROF, captures their
 /// backtraces, and folds them into "label;frame;frame count" lines
 /// (root-first — `flamegraph.pl` / speedscope compatible). At most one
 /// instance may be running at a time (the signal handler needs a global
 /// scratch slot). Symbolication happens once, at fold time.
-struct StackSamplerConfig {
-  std::uint32_t period_us = 1000;  ///< sampling period per target thread
-  std::uint32_t max_depth = 48;
-};
-
 class StackSampler {
  public:
-  using Config = StackSamplerConfig;
-
   /// Platform support (Linux with <execinfo.h>); false => start() refuses.
   static bool supported() noexcept;
 
-  explicit StackSampler(Config cfg = {});
+  StackSampler();
   ~StackSampler();
 
   StackSampler(const StackSampler&) = delete;

@@ -1,6 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "common/strfmt.hpp"
 
@@ -18,59 +19,17 @@ const char* write_stage_name(WriteStage s) noexcept {
   return "?";
 }
 
-// ---------------------------------------------------------------------------
-// ExemplarHistogram
-// ---------------------------------------------------------------------------
+namespace {
 
-void ExemplarHistogram::record(std::uint64_t v, TraceId trace) {
-  if (counts_.empty()) {
-    counts_.assign(hist_detail::kBucketCount, 0);
-    exemplars_.assign(hist_detail::kBucketCount, Slot{});
-  }
-  const std::uint32_t b = hist_detail::bucket_of(v);
-  ++counts_[b];
-  ++count_;
-  sum_ += v;
-  min_ = std::min(min_, v);
-  max_ = std::max(max_, v);
-  Slot& slot = exemplars_[b];
-  // Keep the largest sample; on a tie the incumbent wins, so the exemplar
-  // set is a deterministic function of the sample sequence.
-  if (slot.trace == 0 || v > slot.value) slot = Slot{trace, v};
+std::uint64_t json_u64(const Json& j, const char* key) {
+  const Json* f = j.find(key);
+  return f && f->is_number() ? f->as_uint() : 0;
 }
 
-std::uint64_t ExemplarHistogram::percentile(double p) const {
-  HistogramSnapshot h;
-  h.counts = counts_;
-  h.count = count_;
-  h.sum = sum_;
-  h.min = min_;
-  h.max = max_;
-  return h.percentile(p);
-}
-
-ExemplarHistogramSnapshot ExemplarHistogram::snapshot() const {
-  ExemplarHistogramSnapshot s;
-  s.hist.counts = counts_;
-  s.hist.count = count_;
-  s.hist.sum = sum_;
-  s.hist.min = min_;
-  s.hist.max = max_;
-  for (std::uint32_t b = 0; b < exemplars_.size(); ++b)
-    if (exemplars_[b].trace != 0)
-      s.exemplars.push_back(Exemplar{b, exemplars_[b].trace, exemplars_[b].value});
-  return s;
-}
-
-std::vector<Exemplar> ExemplarHistogramSnapshot::at_or_above(
-    std::uint64_t value) const {
-  std::vector<Exemplar> out;
-  for (const Exemplar& e : exemplars)
-    if (hist_detail::bucket_upper(e.bucket) > value) out.push_back(e);
-  return out;
-}
-
-Json ExemplarHistogramSnapshot::to_json() const {
+// A remo-spans-1 histogram: the percentile summary plus the nonempty
+// buckets as [index, count] pairs, so a reader can recompute any
+// percentile.
+Json histogram_json(const HistogramSnapshot& hist) {
   Json j = Json::object();
   j["count"] = hist.count;
   j["sum_ns"] = hist.sum;
@@ -89,61 +48,34 @@ Json ExemplarHistogramSnapshot::to_json() const {
     buckets.push_back(std::move(pair));
   }
   j["buckets"] = std::move(buckets);
-  Json ex = Json::array();
-  for (const Exemplar& e : exemplars) {
-    Json je = Json::object();
-    je["bucket"] = std::uint64_t{e.bucket};
-    je["trace"] = std::uint64_t{e.trace};
-    je["value_ns"] = e.value_ns;
-    ex.push_back(std::move(je));
-  }
-  j["exemplars"] = std::move(ex);
   return j;
 }
 
-namespace {
-
-std::uint64_t json_u64(const Json& j, const char* key) {
-  const Json* f = j.find(key);
-  return f && f->is_number() ? f->as_uint() : 0;
-}
-
-}  // namespace
-
-bool ExemplarHistogramSnapshot::from_json(const Json& doc,
-                                          ExemplarHistogramSnapshot& out,
-                                          std::string* error) {
+bool parse_histogram(const Json& doc, HistogramSnapshot& out,
+                     std::string* error) {
   const auto fail = [&](const char* msg) {
     if (error) *error = msg;
     return false;
   };
   if (!doc.is_object()) return fail("histogram entry is not an object");
-  out = ExemplarHistogramSnapshot{};
-  out.hist.count = json_u64(doc, "count");
-  out.hist.sum = json_u64(doc, "sum_ns");
-  out.hist.max = json_u64(doc, "max_ns");
-  out.hist.min = out.hist.count ? json_u64(doc, "min_ns") : ~std::uint64_t{0};
+  out = HistogramSnapshot{};
+  out.count = json_u64(doc, "count");
+  out.sum = json_u64(doc, "sum_ns");
+  out.max = json_u64(doc, "max_ns");
+  out.min = out.count ? json_u64(doc, "min_ns") : ~std::uint64_t{0};
   if (const Json* buckets = doc.find("buckets"); buckets && buckets->is_array()) {
     for (const Json& pair : buckets->items()) {
       if (!pair.is_array() || pair.size() != 2) return fail("malformed bucket pair");
       const auto b = static_cast<std::uint32_t>(pair.items()[0].as_uint());
       if (b >= hist_detail::kBucketCount) return fail("bucket index out of range");
-      if (out.hist.counts.empty())
-        out.hist.counts.assign(hist_detail::kBucketCount, 0);
-      out.hist.counts[b] = pair.items()[1].as_uint();
-    }
-  }
-  if (const Json* ex = doc.find("exemplars"); ex && ex->is_array()) {
-    for (const Json& je : ex->items()) {
-      Exemplar e;
-      e.bucket = static_cast<std::uint32_t>(json_u64(je, "bucket"));
-      e.trace = static_cast<TraceId>(json_u64(je, "trace"));
-      e.value_ns = json_u64(je, "value_ns");
-      out.exemplars.push_back(e);
+      if (out.counts.empty()) out.counts.assign(hist_detail::kBucketCount, 0);
+      out.counts[b] = pair.items()[1].as_uint();
     }
   }
   return true;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // WriteSpan / SpanSnapshot JSON
@@ -169,12 +101,6 @@ Json WriteSpan::to_json() const {
   return j;
 }
 
-const WriteSpan* SpanSnapshot::find(TraceId id) const {
-  for (const WriteSpan& s : spans)
-    if (s.id == id) return &s;
-  return nullptr;
-}
-
 Json SpanSnapshot::to_json() const {
   Json j = Json::object();
   j["schema"] = "remo-spans-1";
@@ -184,10 +110,11 @@ Json SpanSnapshot::to_json() const {
   j["open"] = open;
   j["dropped_open"] = dropped_open;
   j["evicted"] = evicted;
-  j["freshness"] = freshness.to_json();
+  j["freshness"] = histogram_json(freshness);
   Json stages = Json::object();
   for (std::size_t s = 0; s < kWriteStageCount; ++s)
-    stages[write_stage_name(static_cast<WriteStage>(s))] = this->stages[s].to_json();
+    stages[write_stage_name(static_cast<WriteStage>(s))] =
+        histogram_json(this->stages[s]);
   j["stages"] = std::move(stages);
   Json spans_json = Json::array();
   for (const WriteSpan& s : spans) spans_json.push_back(s.to_json());
@@ -212,13 +139,11 @@ bool SpanSnapshot::from_json(const Json& doc, SpanSnapshot& out,
   out.dropped_open = json_u64(doc, "dropped_open");
   out.evicted = json_u64(doc, "evicted");
   if (const Json* f = doc.find("freshness"))
-    if (!ExemplarHistogramSnapshot::from_json(*f, out.freshness, error))
-      return false;
+    if (!parse_histogram(*f, out.freshness, error)) return false;
   if (const Json* stages = doc.find("stages"); stages && stages->is_object()) {
     for (std::size_t s = 0; s < kWriteStageCount; ++s) {
       const Json* js = stages->find(write_stage_name(static_cast<WriteStage>(s)));
-      if (js && !ExemplarHistogramSnapshot::from_json(*js, out.stages[s], error))
-        return false;
+      if (js && !parse_histogram(*js, out.stages[s], error)) return false;
     }
   }
   if (const Json* spans = doc.find("spans"); spans && spans->is_array()) {
@@ -251,15 +176,12 @@ bool SpanSnapshot::from_json(const Json& doc, SpanSnapshot& out,
 // SpanRecorder
 // ---------------------------------------------------------------------------
 
-SpanRecorder::SpanRecorder(SpanRecorderConfig cfg)
-    : cfg_(cfg), trace_(cfg.trace_capacity) {}
+SpanRecorder::SpanRecorder() : trace_(kSpanTraceCapacity) {}
 
 TraceId SpanRecorder::begin_batch(std::uint64_t queued_ns, std::uint64_t now_ns) {
   std::lock_guard guard(mu_);
-  const std::uint64_t n = batches_seen_++;
-  const std::uint64_t mask = (std::uint64_t{1} << cfg_.sample_shift) - 1;
-  if ((n & mask) != 0) return 0;
-  if (open_.size() >= cfg_.max_open) {
+  ++batches_seen_;
+  if (open_.size() >= kSpanMaxOpen) {
     ++dropped_open_;
     return 0;
   }
@@ -348,9 +270,9 @@ void SpanRecorder::complete_locked(WriteSpan span, std::uint64_t published_ns) {
   span.total_ns = span.published_ns - span.queued_ns;
   ++completed_;
 
-  freshness_.record(span.total_ns, span.id);
+  freshness_.record(span.total_ns);
   for (std::size_t s = 0; s < kWriteStageCount; ++s)
-    stages_[s].record(span.stage_ns[s], span.id);
+    stages_[s].record(span.stage_ns[s]);
 
   // Perfetto flow chain: queue -> admit -> drain -> publish, linked by the
   // TraceId so the whole write path of one batch lights up in the UI.
@@ -365,7 +287,7 @@ void SpanRecorder::complete_locked(WriteSpan span, std::uint64_t published_ns) {
                    "watermark", span.watermark);
 
   done_.push_back(span);
-  while (done_.size() > cfg_.history) {
+  while (done_.size() > kSpanHistory) {
     done_.pop_front();
     ++evicted_;
   }
@@ -379,8 +301,9 @@ SpanCounts SpanRecorder::counts() const {
   c.completed = completed_;
   c.open = open_.size();
   c.dropped_open = dropped_open_;
-  c.freshness_p50_ns = freshness_.percentile(50.0);
-  c.freshness_p99_ns = freshness_.percentile(99.0);
+  const HistogramSnapshot freshness = freshness_.snapshot();
+  c.freshness_p50_ns = freshness.p50();
+  c.freshness_p99_ns = freshness.p99();
   return c;
 }
 
@@ -421,7 +344,7 @@ std::string ms_str(double ns) { return strfmt("%.3fms", ns / 1e6); }
 
 std::string format_tail_report(const SpanSnapshot& snap, double tail_percentile) {
   std::string out;
-  const HistogramSnapshot& h = snap.freshness.hist;
+  const HistogramSnapshot& h = snap.freshness;
   out += strfmt(
       "write-to-readable freshness: %llu batches completed (%llu sampled, "
       "%llu still open, %llu dropped)\n",
@@ -464,7 +387,7 @@ std::string format_tail_report(const SpanSnapshot& snap, double tail_percentile)
     out += strfmt("\n%-10s %12s %8s %12s %12s\n", "stage", "tail mean", "share",
                   "overall p50", "overall p99");
     for (std::size_t i = 0; i < kWriteStageCount; ++i) {
-      const HistogramSnapshot& sh = snap.stages[i].hist;
+      const HistogramSnapshot& sh = snap.stages[i];
       const double share =
           total_mean > 0.0 ? 100.0 * stage_mean[i] / total_mean : 0.0;
       out += strfmt("%-10s %12s %7.1f%% %12s %12s\n",
@@ -475,25 +398,29 @@ std::string format_tail_report(const SpanSnapshot& snap, double tail_percentile)
     out += strfmt("%-10s %12s\n", "total", ms_str(total_mean).c_str());
   }
 
-  const std::vector<Exemplar> tail_ex = snap.freshness.at_or_above(threshold);
+  // Buckets that can hold the threshold or anything larger, ascending.
+  // Strict > keeps the earliest of equal spans.
+  std::map<std::uint32_t, const WriteSpan*> exemplars;
+  for (const WriteSpan& s : snap.spans) {
+    const std::uint32_t b = hist_detail::bucket_of(s.total_ns);
+    if (hist_detail::bucket_upper(b) <= threshold) continue;
+    const WriteSpan*& e = exemplars[b];
+    if (e == nullptr || s.total_ns > e->total_ns) e = &s;
+  }
   out += strfmt("\nexemplars (p%.4g+ buckets):\n", tail_percentile);
-  if (tail_ex.empty()) out += "  none\n";
-  for (const Exemplar& e : tail_ex) {
+  if (exemplars.empty()) out += "  none\n";
+  for (const auto& [b, s] : exemplars) {
     out += strfmt("  bucket [%s, %s) trace 0x%08x value %s",
-                  ms_str(hist_detail::bucket_lower(e.bucket)).c_str(),
-                  ms_str(hist_detail::bucket_upper(e.bucket)).c_str(), e.trace,
-                  ms_str(e.value_ns).c_str());
-    if (const WriteSpan* s = snap.find(e.trace)) {
-      out += strfmt("\n    span: events=%llu waves=%u%s",
-                    static_cast<unsigned long long>(s->events), s->waves,
-                    s->serial_fallback ? " (serial fallback)" : "");
-      for (std::size_t i = 0; i < kWriteStageCount; ++i)
-        out += strfmt(" %s=%s", write_stage_name(static_cast<WriteStage>(i)),
-                      ms_str(s->stage_ns[i]).c_str());
-      out += "\n";
-    } else {
-      out += "  (span evicted from history)\n";
-    }
+                  ms_str(hist_detail::bucket_lower(b)).c_str(),
+                  ms_str(hist_detail::bucket_upper(b)).c_str(), s->id,
+                  ms_str(s->total_ns).c_str());
+    out += strfmt("\n    span: events=%llu waves=%u%s",
+                  static_cast<unsigned long long>(s->events), s->waves,
+                  s->serial_fallback ? " (serial fallback)" : "");
+    for (std::size_t i = 0; i < kWriteStageCount; ++i)
+      out += strfmt(" %s=%s", write_stage_name(static_cast<WriteStage>(i)),
+                    ms_str(s->stage_ns[i]).c_str());
+    out += "\n";
   }
   return out;
 }

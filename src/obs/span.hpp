@@ -21,14 +21,15 @@
 // the whole batch (events are counted into the watermark only after their
 // in-flight registration, see Engine::sample_gauges()'s soundness note).
 //
-// Aggregation: per-stage latency histograms (the shared log-bucketing of
-// histogram.hpp) with **exemplars** — each bucket remembers the TraceId of
-// its largest sample, so a slow percentile links to a concrete traced
-// batch whose full milestone record is retained in the completed-span
-// ring. Completed spans also stream into an owned TraceBuffer as Perfetto
-// flow slices (flow id = TraceId), exported alongside the engine's rank
-// tracks. `remo_cli trace-analyze --tail` renders format_tail_report():
-// the per-stage attribution of p99+ write-to-readable latency.
+// Aggregation: freshness and per-stage LatencyHistograms (the shared
+// log-bucketing of histogram.hpp), plus a ring of the most recent
+// completed spans with their full milestone records. The tail report links
+// each slow freshness bucket to an **exemplar** — the largest retained span
+// in that bucket — so a slow percentile names a concrete traced batch.
+// Completed spans also stream into an owned TraceBuffer as Perfetto flow
+// slices (flow id = TraceId), exported alongside the engine's rank tracks.
+// `remo_cli trace-analyze --tail` renders format_tail_report(): the
+// per-stage attribution of p99+ write-to-readable latency.
 //
 // Threading: one mutex guards everything. Recording happens at batch
 // granularity (a batch is hundreds-to-thousands of events), so the lock is
@@ -50,7 +51,7 @@
 namespace remo::obs {
 
 /// Same 32-bit layout as CauseId; origin kSpanOrigin marks write-path
-/// spans. 0 means "unsampled" (begin_batch declined the batch).
+/// spans. 0 means "no span" (begin_batch dropped the batch: open table full).
 using TraceId = CauseId;
 
 /// Reserved origin byte for span TraceIds (kMainOrigin - 1; rank origins
@@ -68,54 +69,6 @@ enum class WriteStage : std::uint8_t {
 inline constexpr std::size_t kWriteStageCount = 6;
 
 const char* write_stage_name(WriteStage s) noexcept;
-
-/// One exemplar: the trace of the largest sample a bucket has seen.
-struct Exemplar {
-  std::uint32_t bucket = 0;
-  TraceId trace = 0;
-  std::uint64_t value_ns = 0;
-};
-
-struct ExemplarHistogramSnapshot {
-  HistogramSnapshot hist;
-  std::vector<Exemplar> exemplars;  ///< bucket-ascending, nonempty buckets only
-
-  /// Exemplars whose bucket can contain `value` or anything larger — the
-  /// "p99+ buckets" selector of the tail report.
-  std::vector<Exemplar> at_or_above(std::uint64_t value) const;
-
-  Json to_json() const;
-  static bool from_json(const Json& doc, ExemplarHistogramSnapshot& out,
-                        std::string* error);
-};
-
-/// Log-bucketed histogram whose buckets carry exemplars. Plain cells — the
-/// owner (SpanRecorder) serialises access under its mutex; this is a
-/// batch-granularity recorder, not a per-event one.
-class ExemplarHistogram {
- public:
-  ExemplarHistogram() = default;
-
-  /// Record one sample; the bucket's exemplar keeps the largest value seen
-  /// (ties keep the earliest — deterministic under replay).
-  void record(std::uint64_t v, TraceId trace);
-
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t percentile(double p) const;
-  ExemplarHistogramSnapshot snapshot() const;
-
- private:
-  struct Slot {
-    TraceId trace = 0;
-    std::uint64_t value = 0;
-  };
-  std::vector<std::uint64_t> counts_;  // lazily kBucketCount entries
-  std::vector<Slot> exemplars_;
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = ~std::uint64_t{0};
-  std::uint64_t max_ = 0;
-};
 
 /// One batch's milestone record. All timestamps are engine-relative
 /// (Engine::obs_now()); stages are durations.
@@ -137,38 +90,30 @@ struct WriteSpan {
 };
 
 /// Full recorder state (schema "remo-spans-1"): counters, the freshness
-/// and per-stage exemplar histograms, and the retained completed spans
-/// (oldest first) that exemplar TraceIds resolve against.
+/// and per-stage histograms, and the retained completed spans (oldest
+/// first) that the tail report draws its exemplars from.
 struct SpanSnapshot {
-  std::uint64_t batches_seen = 0;     ///< begin_batch calls (sampled or not)
+  std::uint64_t batches_seen = 0;     ///< begin_batch calls
   std::uint64_t batches_sampled = 0;  ///< spans opened
   std::uint64_t completed = 0;        ///< spans closed (published)
   std::uint64_t open = 0;             ///< spans still in flight at snapshot
-  std::uint64_t dropped_open = 0;     ///< sampled batches dropped (open-table full)
+  std::uint64_t dropped_open = 0;     ///< batches dropped (open-table full)
   std::uint64_t evicted = 0;          ///< completed spans evicted from the ring
-  ExemplarHistogramSnapshot freshness;
-  std::array<ExemplarHistogramSnapshot, kWriteStageCount> stages;
+  HistogramSnapshot freshness;
+  std::array<HistogramSnapshot, kWriteStageCount> stages;
   std::vector<WriteSpan> spans;
-
-  const WriteSpan* find(TraceId id) const;
 
   Json to_json() const;
   static bool from_json(const Json& doc, SpanSnapshot& out, std::string* error);
 };
 
-struct SpanRecorderConfig {
-  /// Every 2^shift-th batch gets a span; 0 (default) spans every batch —
-  /// affordable because batches are coarse, and the shipped configuration
-  /// the ≤3% A/B budget is measured at.
-  std::uint32_t sample_shift = 0;
-  /// Open spans beyond this are dropped at begin_batch (counted). Bounds
-  /// memory if views stop publishing while writes continue.
-  std::size_t max_open = 4096;
-  /// Completed spans retained for exemplar resolution.
-  std::size_t history = 4096;
-  /// Perfetto flow-slice ring capacity (4 slices per completed span).
-  std::size_t trace_capacity = std::size_t{1} << 14;
-};
+/// Open spans beyond this are dropped at begin_batch (counted). Bounds
+/// memory if views stop publishing while writes continue.
+inline constexpr std::size_t kSpanMaxOpen = 4096;
+/// Completed spans retained for the tail report's exemplars.
+inline constexpr std::size_t kSpanHistory = 4096;
+/// Perfetto flow-slice ring capacity (4 slices per completed span).
+inline constexpr std::size_t kSpanTraceCapacity = std::size_t{1} << 14;
 
 /// Cheap live summary for gauge sampling (no span copies).
 struct SpanCounts {
@@ -181,9 +126,11 @@ struct SpanCounts {
   std::uint64_t freshness_p99_ns = 0;
 };
 
+/// Spans every batch: batches are coarse, so that is affordable, and it is
+/// the configuration the ≤3% A/B budget is measured at.
 class SpanRecorder {
  public:
-  explicit SpanRecorder(SpanRecorderConfig cfg = {});
+  SpanRecorder();
 
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
@@ -191,9 +138,8 @@ class SpanRecorder {
   // --- Gate side (the pumping thread) -------------------------------------
 
   /// Open a span for a batch picked up at `now_ns` whose oldest event was
-  /// submitted at `queued_ns`. Returns 0 when the batch is not sampled (or
-  /// the open table is full); callers skip further calls on 0. kQueue is
-  /// recorded here.
+  /// submitted at `queued_ns`. Returns 0 when the open table is full;
+  /// callers skip further calls on 0. kQueue is recorded here.
   TraceId begin_batch(std::uint64_t queued_ns, std::uint64_t now_ns);
 
   /// Add `dur_ns` to one stage of an open span (kPartition/kDispatch/kInject).
@@ -232,7 +178,6 @@ class SpanRecorder {
   void complete_locked(WriteSpan span, std::uint64_t published_ns);
 
   mutable std::mutex mu_;
-  SpanRecorderConfig cfg_;
   std::uint32_t next_seq_ = 1;
   std::uint64_t batches_seen_ = 0;
   std::uint64_t batches_sampled_ = 0;
@@ -241,14 +186,15 @@ class SpanRecorder {
   std::uint64_t evicted_ = 0;
   std::vector<WriteSpan> open_;
   std::deque<WriteSpan> done_;
-  ExemplarHistogram freshness_;
-  std::array<ExemplarHistogram, kWriteStageCount> stages_;
+  LatencyHistogram freshness_;
+  std::array<LatencyHistogram, kWriteStageCount> stages_;
   TraceBuffer trace_;
 };
 
 /// The `trace-analyze --tail` report: freshness percentiles, per-stage
-/// attribution over the spans at or above `tail_percentile`, and the tail
-/// buckets' exemplar TraceIds resolved to their full spans.
+/// attribution over the spans at or above `tail_percentile`, and one
+/// exemplar per tail freshness bucket: the largest retained span in it,
+/// the earliest on ties (deterministic under replay).
 std::string format_tail_report(const SpanSnapshot& snap,
                                double tail_percentile = 99.0);
 

@@ -7,11 +7,8 @@
 // the oldest slices are overwritten (and counted), so a trace of a long run
 // keeps its most recent window instead of growing without bound.
 //
-// Off-switches:
-//  * compile time — build with -DREMO_OBS_NO_TRACE and every emit site
-//    compiles to nothing;
-//  * runtime — tracing is off unless EngineConfig::obs.trace is set; the
-//    hot path then costs a single branch on a cached bool.
+// Tracing is off unless EngineConfig::obs.trace is set; the hot path then
+// costs a single branch on a cached bool.
 //
 // The exported file is the Trace Event Format's JSON-object form
 // ({"traceEvents": [...]}) with complete ("ph":"X") events; one track per
@@ -26,12 +23,6 @@
 #include <vector>
 
 namespace remo::obs {
-
-#ifdef REMO_OBS_NO_TRACE
-inline constexpr bool kTraceCompiledIn = false;
-#else
-inline constexpr bool kTraceCompiledIn = true;
-#endif
 
 /// Flow linkage of a slice: chrome-trace flow events ("s"/"t"/"f") connect
 /// slices across tracks so a caused cascade is visually traceable.
@@ -66,10 +57,6 @@ class TraceBuffer {
   /// Writer side (owning thread only).
   void emit(const char* name, std::uint64_t ts_ns, std::uint64_t dur_ns,
             const char* arg_name = nullptr, std::uint64_t arg_value = 0) noexcept {
-    if constexpr (!kTraceCompiledIn) {
-      (void)name, (void)ts_ns, (void)dur_ns, (void)arg_name, (void)arg_value;
-      return;
-    }
     const std::uint64_t seq = next_.load(std::memory_order_relaxed);
     ring_[seq % ring_.size()] = TraceEvent{name, arg_name, ts_ns, dur_ns, arg_value};
     next_.store(seq + 1, std::memory_order_release);
@@ -83,11 +70,6 @@ class TraceBuffer {
                  std::uint64_t flow_id, FlowPhase phase,
                  const char* arg_name = nullptr,
                  std::uint64_t arg_value = 0) noexcept {
-    if constexpr (!kTraceCompiledIn) {
-      (void)name, (void)ts_ns, (void)dur_ns, (void)flow_id, (void)phase;
-      (void)arg_name, (void)arg_value;
-      return;
-    }
     const std::uint64_t seq = next_.load(std::memory_order_relaxed);
     ring_[seq % ring_.size()] =
         TraceEvent{name, arg_name, ts_ns, dur_ns, arg_value, flow_id, phase};

@@ -95,7 +95,7 @@ class WriteGate {
   void inject_slice(const std::vector<EdgeEvent>& batch,
                     const std::uint32_t* idx, std::size_t n);
   /// inject_slice, accumulating its wall time into *inject_ns when the
-  /// dispatched batch is span-sampled (inject_ns nonnull).
+  /// dispatched batch has a span (inject_ns nonnull).
   void inject_slice_timed(const std::vector<EdgeEvent>& batch,
                           const std::uint32_t* idx, std::size_t n,
                           std::uint64_t* inject_ns);

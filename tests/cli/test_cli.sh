@@ -58,8 +58,7 @@ grep -q '"thread_name"' "$WORK/trace.json"
 
 echo "== causal lineage: --lineage-out -> trace-analyze =="
 "$REMO" ingest --graph "$WORK/g.bin" --ranks 4 --algo bfs --source 0 \
-    --lineage-out "$WORK/lineage.json" --lineage-sample 4 \
-    | tee "$WORK/lineage.out"
+    --lineage-out "$WORK/lineage.json" | tee "$WORK/lineage.out"
 grep -q "causes sampled" "$WORK/lineage.out"
 grep -q "lineage written" "$WORK/lineage.out"
 grep -q '"schema":"remo-lineage-1"' "$WORK/lineage.json"
@@ -90,6 +89,19 @@ rc=0
     2>"$WORK/err.txt" || rc=$?
 test "$rc" -eq 2
 grep -q -- "--ranks" "$WORK/err.txt"
+# The sampling and backend settings are constants now; their old flags are
+# unknown flags like any other.
+for cmd_flag in ingest:--latency-sample ingest:--lineage-sample \
+    ingest:--prof-shift ingest:--prof-backend ingest:--prof-period-us \
+    serve:--span-sample; do
+  cmd="${cmd_flag%%:*}"
+  flag="${cmd_flag#*:}"
+  rc=0
+  "$REMO" "$cmd" --graph "$WORK/g.bin" --ranks 2 "$flag" 4 \
+      >/dev/null 2>"$WORK/err.txt" || rc=$?
+  test "$rc" -eq 2
+  grep -q -- "unknown flag $flag" "$WORK/err.txt"
+done
 
 echo "== bench-compare refuses reports from different configs =="
 # Two remo-bench-1 reports with identical runs whose config blocks differ

@@ -59,19 +59,27 @@ TEST(ScriptedBackend, WalksTimelineAndClamps) {
   EXPECT_EQ(b.reads_issued(), 3u);
 }
 
-// shift 0: every boundary reads, so each phase gets exactly the delta
-// between consecutive timeline entries.
-TEST(RankProfiler, ExactAttributionAtShiftZero) {
+// Boundaries between two counter reads: the profiler reads at every
+// kStride-th one.
+constexpr int kStride = 1 << kProfSampleShift;
+
+void drive(RankProfiler& prof, Phase p, int boundaries, std::uint64_t ns) {
+  for (int i = 0; i < boundaries; ++i) prof.on_phase(p, ns);
+}
+
+// Each read covers boundaries of one phase only, so each phase gets exactly
+// the delta between consecutive timeline entries.
+TEST(RankProfiler, ExactAttributionWhenEachReadCoversOnePhase) {
   auto backend = std::make_unique<ScriptedBackend>(std::vector<CounterSet>{
       make_set(0, 0),        // baseline at attach
-      make_set(1000, 2000),  // after first boundary
-      make_set(1500, 2600),  // after second
+      make_set(1000, 2000),  // after the first stride
+      make_set(1500, 2600),  // after the second
   });
-  RankProfiler prof(0, std::move(backend), /*sample_shift=*/0);
+  RankProfiler prof(0, std::move(backend));
   prof.attach();
   ASSERT_TRUE(prof.active());
-  prof.on_phase(Phase::kIngest, 100);
-  prof.on_phase(Phase::kPropagate, 100);
+  drive(prof, Phase::kIngest, kStride, 100);
+  drive(prof, Phase::kPropagate, kStride, 100);
   const RankProfSnapshot s = prof.snapshot();
   EXPECT_EQ(s.phase[static_cast<std::size_t>(Phase::kIngest)]
              [ProfCounter::kCycles], 1000u);
@@ -79,32 +87,33 @@ TEST(RankProfiler, ExactAttributionAtShiftZero) {
              [ProfCounter::kCycles], 500u);
   EXPECT_EQ(s.phase[static_cast<std::size_t>(Phase::kPropagate)]
              [ProfCounter::kInstructions], 600u);
-  EXPECT_EQ(s.boundaries, 2u);
+  EXPECT_EQ(s.boundaries, 2u * kStride);
   EXPECT_EQ(s.reads, 2u);
   EXPECT_EQ(s.read_failures, 0u);
 }
 
-// shift 1: the read at the 2nd boundary covers both phases; the delta is
-// split proportionally to pending wall-clock and conserves exactly.
+// One read covers both phases; the delta is split proportionally to
+// pending wall-clock and conserves exactly.
 TEST(RankProfiler, ProportionalAttributionConserves) {
   auto backend = std::make_unique<ScriptedBackend>(std::vector<CounterSet>{
       make_set(0, 0),
       make_set(900, 9000),
   });
-  RankProfiler prof(0, std::move(backend), /*sample_shift=*/1);
+  RankProfiler prof(0, std::move(backend));
   prof.attach();
-  prof.on_phase(Phase::kIngest, 100);     // no read yet
-  prof.on_phase(Phase::kPropagate, 200);  // read covers 300 ns pending
+  drive(prof, Phase::kIngest, kStride / 2, 25);     // 200 ns, no read yet
+  drive(prof, Phase::kPropagate, kStride / 2, 50);  // read covers 600 ns
   const RankProfSnapshot s = prof.snapshot();
   const auto ingest = static_cast<std::size_t>(Phase::kIngest);
   const auto prop = static_cast<std::size_t>(Phase::kPropagate);
-  EXPECT_EQ(s.phase[ingest][ProfCounter::kCycles], 300u);  // 900 * 100/300
-  EXPECT_EQ(s.phase[prop][ProfCounter::kCycles], 600u);    // 900 * 200/300
+  EXPECT_EQ(s.reads, 1u);
+  EXPECT_EQ(s.phase[ingest][ProfCounter::kCycles], 300u);  // 900 * 200/600
+  EXPECT_EQ(s.phase[prop][ProfCounter::kCycles], 600u);    // 900 * 400/600
   // Exact conservation even when the split does not divide evenly.
   EXPECT_EQ(s.total()[ProfCounter::kCycles], 900u);
   EXPECT_EQ(s.total()[ProfCounter::kInstructions], 9000u);
-  EXPECT_EQ(s.attributed_ns[ingest], 100u);
-  EXPECT_EQ(s.attributed_ns[prop], 200u);
+  EXPECT_EQ(s.attributed_ns[ingest], 200u);
+  EXPECT_EQ(s.attributed_ns[prop], 400u);
 }
 
 TEST(RankProfiler, ConservationWithUnevenSplit) {
@@ -115,9 +124,9 @@ TEST(RankProfiler, ConservationWithUnevenSplit) {
       make_set(0, 0),
       make_set(1000, 0),
   });
-  RankProfiler prof(0, std::move(backend), /*sample_shift=*/2);
+  RankProfiler prof(0, std::move(backend));
   prof.attach();
-  prof.on_phase(Phase::kIngest, 3);
+  prof.on_phase(Phase::kIngest, 3);  // three boundaries: no read until flush
   prof.on_phase(Phase::kPropagate, 3);
   prof.on_phase(Phase::kQuiesce, 1);
   prof.flush();
@@ -132,12 +141,12 @@ TEST(RankProfiler, SamplingStrideReadsEveryNth) {
     timeline[i] = make_set(i * 100, i * 200);
   auto owned = std::make_unique<ScriptedBackend>(std::move(timeline));
   ScriptedBackend* backend = owned.get();
-  RankProfiler prof(0, std::move(owned), /*sample_shift=*/2);
+  RankProfiler prof(0, std::move(owned));
   prof.attach();  // 1 baseline read
-  for (int i = 0; i < 8; ++i) prof.on_phase(Phase::kPropagate, 10);
+  drive(prof, Phase::kPropagate, 2 * kStride + kStride / 2, 10);
   const RankProfSnapshot s = prof.snapshot();
-  EXPECT_EQ(s.boundaries, 8u);
-  EXPECT_EQ(s.reads, 2u);  // boundaries 4 and 8 only
+  EXPECT_EQ(s.boundaries, 2u * kStride + kStride / 2);
+  EXPECT_EQ(s.reads, 2u);  // boundaries kStride and 2 * kStride only
   EXPECT_EQ(backend->reads_issued(), 3u);  // baseline + 2 samples
 }
 
@@ -147,23 +156,24 @@ TEST(RankProfiler, ReadFailuresAreCountedNotFatal) {
       make_set(500, 500),
   });
   ScriptedBackend* backend = owned.get();
-  RankProfiler prof(0, std::move(owned), /*sample_shift=*/0);
+  RankProfiler prof(0, std::move(owned));
   prof.attach();
   backend->fail_next_reads(1);
-  prof.on_phase(Phase::kIngest, 10);  // read fails; pending carries over
-  prof.on_phase(Phase::kIngest, 10);  // succeeds, attributes both
+  drive(prof, Phase::kIngest, kStride, 10);  // read fails; pending carries over
+  drive(prof, Phase::kIngest, kStride, 10);  // succeeds, attributes both
   const RankProfSnapshot s = prof.snapshot();
   EXPECT_EQ(s.read_failures, 1u);
   EXPECT_EQ(s.reads, 1u);
   EXPECT_EQ(s.total()[ProfCounter::kCycles], 500u);
-  EXPECT_EQ(s.attributed_ns[static_cast<std::size_t>(Phase::kIngest)], 20u);
+  EXPECT_EQ(s.attributed_ns[static_cast<std::size_t>(Phase::kIngest)],
+            20u * kStride);
 }
 
 TEST(RankProfiler, OpenFailureLeavesProfilerInert) {
   auto owned = std::make_unique<ScriptedBackend>(std::vector<CounterSet>{
       make_set(1, 1)});
   owned->set_open_fails(true);
-  RankProfiler prof(0, std::move(owned), 0);
+  RankProfiler prof(0, std::move(owned));
   prof.attach();
   EXPECT_FALSE(prof.active());
   prof.on_phase(Phase::kIngest, 10);  // must not crash or read
@@ -195,7 +205,6 @@ TEST(ProfSnapshot, JsonRoundTrip) {
   snap.enabled = true;
   snap.backend = "scripted";
   snap.degraded = true;
-  snap.sample_shift = 3;
   snap.available = kAllProfCounters;
   RankProfSnapshot r0;
   r0.rank = 0;
@@ -218,7 +227,6 @@ TEST(ProfSnapshot, JsonRoundTrip) {
   EXPECT_TRUE(back.enabled);
   EXPECT_EQ(back.backend, "scripted");
   EXPECT_TRUE(back.degraded);
-  EXPECT_EQ(back.sample_shift, 3u);
   EXPECT_EQ(back.available, kAllProfCounters);
   ASSERT_EQ(back.per_rank.size(), 1u);
   const RankProfSnapshot& r = back.per_rank[0];
@@ -268,7 +276,7 @@ TEST(ProfDerived, RatiosGuardZeroDenominators) {
 
 GaugeSample sample_with_prof() {
   GaugeSample s;
-  s.prof_backend = "scripted";
+  s.prof_resolved_backend = "scripted";
   s.prof_degraded = true;
   s.prof.phase[static_cast<std::size_t>(Phase::kPropagate)] =
       make_set(1000, 2000, 100, 10, 4, 200, 5000);
@@ -337,14 +345,14 @@ TEST(ProcRusageTest, ReadsSaneValues) {
 
 // --- Backend resolution ------------------------------------------------------
 
+// The probe settles on a backend that instantiates under its own name, and
+// on Linux never on the inert one: rusage is always there to fall back to.
 TEST(BackendResolution, AutoNeverStaysAuto) {
-  const ProfBackendKind k = resolve_prof_backend(ProfBackendKind::kAuto);
-  EXPECT_NE(k, ProfBackendKind::kAuto);
-  // Explicit kinds pass through.
-  EXPECT_EQ(resolve_prof_backend(ProfBackendKind::kNoop),
-            ProfBackendKind::kNoop);
-  EXPECT_EQ(resolve_prof_backend(ProfBackendKind::kRusage),
-            ProfBackendKind::kRusage);
+  const ProfBackendKind k = resolve_prof_backend();
+  EXPECT_STREQ(make_counter_backend(k)->name(), prof_backend_name(k));
+#ifdef __linux__
+  EXPECT_NE(k, ProfBackendKind::kNoop);
+#endif
 }
 
 TEST(BackendResolution, NoopBackendIsInert) {
@@ -421,7 +429,7 @@ TEST(ProfReport, JoinsSpanStages) {
   for (std::size_t i = 0; i < kWriteStageCount; ++i) {
     LatencyHistogram h;
     h.record(1000 * (i + 1));
-    spans.stages[i].hist = h.snapshot();
+    spans.stages[i] = h.snapshot();
   }
   const std::string report = format_prof_report(snap, &spans);
   EXPECT_NE(report.find("write-path"), std::string::npos);
@@ -434,7 +442,7 @@ TEST(ProfReport, JoinsSpanStages) {
 TEST(StackSamplerTest, FoldedOutputFromBusyThread) {
   if (!StackSampler::supported())
     GTEST_SKIP() << "stack sampling unsupported on this platform";
-  StackSampler sampler(StackSamplerConfig{/*period_us=*/200, /*max_depth=*/48});
+  StackSampler sampler;
   ASSERT_TRUE(sampler.start());
   std::atomic<bool> stop{false};
   std::thread busy([&] {
@@ -467,7 +475,7 @@ TEST(StackSamplerTest, FoldedOutputFromBusyThread) {
 // discard it: under the default action a late SIGPROF kills the process.
 TEST(StackSamplerTest, StopDiscardsPendingSamples) {
   if (!StackSampler::supported()) GTEST_SKIP();
-  StackSampler sampler(StackSamplerConfig{/*period_us=*/200, /*max_depth=*/48});
+  StackSampler sampler;
   ASSERT_TRUE(sampler.start());
   std::atomic<bool> registered{false};
   std::atomic<bool> stopped{false};

@@ -81,7 +81,6 @@ MetricsSnapshot scripted_snapshot() {
   s.prof.enabled = true;
   s.prof.backend = "scripted";
   s.prof.degraded = true;
-  s.prof.sample_shift = 4;
   s.prof.available = kAllProfCounters;
   s.prof.per_rank = {prof_rank(0), prof_rank(1)};
   return s;
@@ -143,7 +142,7 @@ GaugeSample scripted_sample() {
   sc.freshness_p99_ns = 27'500'000;
   serve::append_serving_metrics(s, st, &gs, &sc);
 
-  s.prof_backend = "scripted";
+  s.prof_resolved_backend = "scripted";
   s.prof_degraded = true;
   s.prof = prof_rank(0);
   s.prof.merge(prof_rank(1));
@@ -162,7 +161,7 @@ const char* const kStatsJson =
     R"("lineage":{"sampled":31,"dropped":2,"spawned":600,"remote_spawned":150,)"
     R"("applied":580,"visitors_p50":12,"visitors_p99":90,"depth_p50":3,)"
     R"("depth_p99":7,"cross_rank_ratio":0.25},"prof":{"schema":"remo-prof-1",)"
-    R"("enabled":true,"backend":"scripted","degraded":true,"sample_shift":4,)"
+    R"("enabled":true,"backend":"scripted","degraded":true,)"
     R"("counters":["cycles","instructions","llc_loads","llc_misses",)"
     R"("branch_misses","stalled_cycles","dtlb_loads","dtlb_misses",)"
     R"("minor_faults","major_faults","task_clock_ns"],"per_rank":[{"rank":0,)"

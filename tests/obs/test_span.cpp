@@ -1,10 +1,10 @@
-// Write-path span recorder: exemplar histograms, scripted batch
-// timelines, watermark-based closing, sampling, overflow accounting, JSON
-// round-trips, and the tail-attribution report (docs/OBSERVABILITY.md
-// "Write-path spans").
+// Write-path span recorder: scripted batch timelines, watermark-based
+// closing, overflow accounting, JSON round-trips, and the tail-attribution
+// report with its exemplars (docs/OBSERVABILITY.md "Write-path spans").
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -13,80 +13,6 @@
 
 namespace remo::obs::test {
 namespace {
-
-// --- ExemplarHistogram ------------------------------------------------------
-
-TEST(ExemplarHistogram, BucketKeepsLargestSampleAsExemplar) {
-  ExemplarHistogram h;
-  // Same log bucket (values this close share one), different traces.
-  h.record(1000, make_cause(kSpanOrigin, 1));
-  h.record(1010, make_cause(kSpanOrigin, 2));
-  h.record(1005, make_cause(kSpanOrigin, 3));
-  const ExemplarHistogramSnapshot snap = h.snapshot();
-  ASSERT_EQ(snap.exemplars.size(), 1u);
-  EXPECT_EQ(snap.exemplars[0].trace, make_cause(kSpanOrigin, 2));
-  EXPECT_EQ(snap.exemplars[0].value_ns, 1010u);
-  EXPECT_EQ(snap.hist.count, 3u);
-}
-
-TEST(ExemplarHistogram, TieKeepsEarliestTrace) {
-  ExemplarHistogram h;
-  h.record(500, make_cause(kSpanOrigin, 7));
-  h.record(500, make_cause(kSpanOrigin, 8));
-  const ExemplarHistogramSnapshot snap = h.snapshot();
-  ASSERT_EQ(snap.exemplars.size(), 1u);
-  EXPECT_EQ(snap.exemplars[0].trace, make_cause(kSpanOrigin, 7));
-}
-
-TEST(ExemplarHistogram, AtOrAboveSelectsTailBuckets) {
-  ExemplarHistogram h;
-  h.record(100, make_cause(kSpanOrigin, 1));
-  h.record(10'000, make_cause(kSpanOrigin, 2));
-  h.record(1'000'000, make_cause(kSpanOrigin, 3));
-  const ExemplarHistogramSnapshot snap = h.snapshot();
-  ASSERT_EQ(snap.exemplars.size(), 3u);
-  const auto tail = snap.at_or_above(10'000);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].trace, make_cause(kSpanOrigin, 2));
-  EXPECT_EQ(tail[1].trace, make_cause(kSpanOrigin, 3));
-  // A threshold above everything selects nothing.
-  EXPECT_TRUE(snap.at_or_above(std::uint64_t{1} << 62).empty());
-}
-
-TEST(ExemplarHistogram, PercentileMatchesPlainHistogram) {
-  ExemplarHistogram h;
-  LatencyHistogram plain;
-  for (std::uint64_t v = 1; v <= 1000; ++v) {
-    h.record(v * 37, make_cause(kSpanOrigin, static_cast<std::uint32_t>(v)));
-    plain.record(v * 37);
-  }
-  EXPECT_EQ(h.percentile(50.0), plain.snapshot().p50());
-  EXPECT_EQ(h.percentile(99.0), plain.snapshot().p99());
-  EXPECT_EQ(h.count(), 1000u);
-}
-
-TEST(ExemplarHistogram, JsonRoundTrip) {
-  ExemplarHistogram h;
-  h.record(123, make_cause(kSpanOrigin, 1));
-  h.record(456'789, make_cause(kSpanOrigin, 2));
-  const ExemplarHistogramSnapshot snap = h.snapshot();
-  std::string error;
-  ExemplarHistogramSnapshot back;
-  ASSERT_TRUE(
-      ExemplarHistogramSnapshot::from_json(snap.to_json(), back, &error))
-      << error;
-  EXPECT_EQ(back.hist.count, snap.hist.count);
-  EXPECT_EQ(back.hist.sum, snap.hist.sum);
-  EXPECT_EQ(back.hist.min, snap.hist.min);
-  EXPECT_EQ(back.hist.max, snap.hist.max);
-  EXPECT_EQ(back.hist.p99(), snap.hist.p99());
-  ASSERT_EQ(back.exemplars.size(), snap.exemplars.size());
-  for (std::size_t i = 0; i < back.exemplars.size(); ++i) {
-    EXPECT_EQ(back.exemplars[i].bucket, snap.exemplars[i].bucket);
-    EXPECT_EQ(back.exemplars[i].trace, snap.exemplars[i].trace);
-    EXPECT_EQ(back.exemplars[i].value_ns, snap.exemplars[i].value_ns);
-  }
-}
 
 // --- SpanRecorder: scripted timelines --------------------------------------
 
@@ -126,7 +52,7 @@ TEST(SpanRecorder, FullLifecycleRecordsEveryStage) {
   EXPECT_EQ(s.stage_ns[static_cast<int>(WriteStage::kDrain)], 90u);    // 300-210
   EXPECT_EQ(s.stage_ns[static_cast<int>(WriteStage::kPublish)], 20u);  // 320-300
   EXPECT_EQ(s.total_ns, 220u);  // 320 - 100: write-to-readable freshness
-  EXPECT_EQ(snap.freshness.hist.count, 1u);
+  EXPECT_EQ(snap.freshness.count, 1u);
   // Milestones are monotone by construction.
   EXPECT_LE(s.queued_ns, s.begin_ns);
   EXPECT_LE(s.begin_ns, s.admitted_ns);
@@ -159,14 +85,17 @@ TEST(SpanRecorder, WatermarkComparisonClosesOnlyCoveredSpans) {
   SpanCounts c = rec.counts();
   EXPECT_EQ(c.completed, 1u);
   EXPECT_EQ(c.open, 1u);
-  EXPECT_NE(rec.snapshot().find(a), nullptr);
-  EXPECT_EQ(rec.snapshot().find(b), nullptr);  // still open
+  SpanSnapshot snap = rec.snapshot();
+  ASSERT_EQ(snap.spans.size(), 1u);  // b is still open
+  EXPECT_EQ(snap.spans[0].id, a);
 
   rec.on_view_published(/*watermark=*/200, /*ns=*/60);
   c = rec.counts();
   EXPECT_EQ(c.completed, 2u);
   EXPECT_EQ(c.open, 0u);
-  EXPECT_NE(rec.snapshot().find(b), nullptr);
+  snap = rec.snapshot();
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_EQ(snap.spans[1].id, b);
 }
 
 TEST(SpanRecorder, UnadmittedSpansSurvivePublishes) {
@@ -179,24 +108,32 @@ TEST(SpanRecorder, UnadmittedSpansSurvivePublishes) {
   EXPECT_EQ(rec.counts().completed, 0u);
 }
 
-TEST(SpanRecorder, SamplingShiftSpansEveryNthBatch) {
-  SpanRecorder rec({.sample_shift = 2});  // every 4th
-  int sampled = 0;
+TEST(SpanRecorder, EveryBatchGetsASpan) {
+  SpanRecorder rec;
   for (int i = 0; i < 16; ++i)
-    if (rec.begin_batch(0, static_cast<std::uint64_t>(i)) != 0) ++sampled;
-  EXPECT_EQ(sampled, 4);
+    EXPECT_NE(rec.begin_batch(0, static_cast<std::uint64_t>(i)), 0u);
   const SpanCounts c = rec.counts();
   EXPECT_EQ(c.batches_seen, 16u);
-  EXPECT_EQ(c.batches_sampled, 4u);
+  EXPECT_EQ(c.batches_sampled, 16u);
+}
+
+// Completes span `i` of a scripted run: admitted with watermark i + 1 and
+// published right after.
+TraceId complete_one(SpanRecorder& rec, std::uint64_t i) {
+  const TraceId id = rec.begin_batch(0, i);
+  rec.record_admitted(id, i + 1, i, 1, 1, false);
+  rec.on_view_published(i + 1, 10 + i);
+  return id;
 }
 
 TEST(SpanRecorder, OpenTableOverflowDropsAndCounts) {
-  SpanRecorder rec({.max_open = 2});
-  EXPECT_NE(rec.begin_batch(0, 0), 0u);
-  EXPECT_NE(rec.begin_batch(0, 1), 0u);
-  EXPECT_EQ(rec.begin_batch(0, 2), 0u);  // table full
+  SpanRecorder rec;
+  for (std::size_t i = 0; i < kSpanMaxOpen; ++i)
+    ASSERT_NE(rec.begin_batch(0, i), 0u);
+  EXPECT_EQ(rec.begin_batch(0, kSpanMaxOpen), 0u);  // table full
   const SpanCounts c = rec.counts();
-  EXPECT_EQ(c.open, 2u);
+  EXPECT_EQ(c.batches_seen, kSpanMaxOpen + 1);
+  EXPECT_EQ(c.open, kSpanMaxOpen);
   EXPECT_EQ(c.dropped_open, 1u);
   // Zero-id calls are no-ops, not crashes.
   rec.stage(0, WriteStage::kInject, 5);
@@ -204,24 +141,18 @@ TEST(SpanRecorder, OpenTableOverflowDropsAndCounts) {
 }
 
 TEST(SpanRecorder, HistoryRingEvictsOldestCompleted) {
-  SpanRecorder rec({.history = 2});
-  TraceId ids[3];
-  for (int i = 0; i < 3; ++i) {
-    ids[i] = rec.begin_batch(0, static_cast<std::uint64_t>(i));
-    rec.record_admitted(ids[i], static_cast<std::uint64_t>(i + 1),
-                        static_cast<std::uint64_t>(i), 1, 1, false);
-    rec.on_view_published(static_cast<std::uint64_t>(i + 1),
-                          static_cast<std::uint64_t>(10 + i));
-  }
+  SpanRecorder rec;
+  std::vector<TraceId> ids;
+  for (std::size_t i = 0; i <= kSpanHistory; ++i) ids.push_back(complete_one(rec, i));
   const SpanSnapshot snap = rec.snapshot();
-  EXPECT_EQ(snap.completed, 3u);
+  EXPECT_EQ(snap.completed, kSpanHistory + 1);
   EXPECT_EQ(snap.evicted, 1u);
-  ASSERT_EQ(snap.spans.size(), 2u);
-  EXPECT_EQ(snap.find(ids[0]), nullptr);  // evicted
-  EXPECT_NE(snap.find(ids[1]), nullptr);
-  EXPECT_NE(snap.find(ids[2]), nullptr);
-  // Freshness histogram keeps all three — eviction only affects resolution.
-  EXPECT_EQ(snap.freshness.hist.count, 3u);
+  ASSERT_EQ(snap.spans.size(), kSpanHistory);
+  // Oldest first: the first span was evicted.
+  EXPECT_EQ(snap.spans.front().id, ids[1]);
+  EXPECT_EQ(snap.spans.back().id, ids.back());
+  // Freshness histogram keeps every span — eviction only affects the ring.
+  EXPECT_EQ(snap.freshness.count, kSpanHistory + 1);
 }
 
 TEST(SpanRecorder, TraceIdsAreUniqueAndSpanOriginated) {
@@ -257,8 +188,12 @@ TEST(SpanRecorder, SnapshotJsonRoundTrip) {
   EXPECT_EQ(back.batches_sampled, snap.batches_sampled);
   EXPECT_EQ(back.completed, snap.completed);
   EXPECT_EQ(back.open, snap.open);
-  EXPECT_EQ(back.freshness.hist.count, snap.freshness.hist.count);
-  EXPECT_EQ(back.freshness.hist.p99(), snap.freshness.hist.p99());
+  EXPECT_EQ(back.freshness.count, snap.freshness.count);
+  EXPECT_EQ(back.freshness.sum, snap.freshness.sum);
+  EXPECT_EQ(back.freshness.min, snap.freshness.min);
+  EXPECT_EQ(back.freshness.max, snap.freshness.max);
+  EXPECT_EQ(back.freshness.p50(), snap.freshness.p50());
+  EXPECT_EQ(back.freshness.p99(), snap.freshness.p99());
   ASSERT_EQ(back.spans.size(), snap.spans.size());
   for (std::size_t i = 0; i < back.spans.size(); ++i) {
     EXPECT_EQ(back.spans[i].id, snap.spans[i].id);
@@ -266,8 +201,10 @@ TEST(SpanRecorder, SnapshotJsonRoundTrip) {
     EXPECT_EQ(back.spans[i].stage_ns, snap.spans[i].stage_ns);
     EXPECT_EQ(back.spans[i].serial_fallback, snap.spans[i].serial_fallback);
   }
-  for (std::size_t st = 0; st < kWriteStageCount; ++st)
-    EXPECT_EQ(back.stages[st].hist.count, snap.stages[st].hist.count);
+  for (std::size_t st = 0; st < kWriteStageCount; ++st) {
+    EXPECT_EQ(back.stages[st].count, snap.stages[st].count);
+    EXPECT_EQ(back.stages[st].p99(), snap.stages[st].p99());
+  }
 }
 
 TEST(SpanRecorder, FromJsonRejectsWrongSchema) {
@@ -338,6 +275,91 @@ TEST(TailReport, AttributesStagesAndResolvesExemplars) {
   EXPECT_NE(report.find(idbuf), std::string::npos) << report;
   EXPECT_NE(report.find("drain"), std::string::npos);
   EXPECT_NE(report.find("exemplars"), std::string::npos);
+}
+
+// The exemplar lines of a tail report: "  bucket [lo, hi) trace 0x.. ...".
+std::vector<std::string> exemplar_lines(const std::string& report) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while ((pos = report.find("\n  bucket [", pos)) != std::string::npos) {
+    ++pos;
+    out.push_back(report.substr(pos, report.find('\n', pos) - pos));
+  }
+  return out;
+}
+
+std::string trace_hex(TraceId id) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%08x", id);
+  return buf;
+}
+
+// Spans with freshness `total_ns` each, completed in order.
+SpanSnapshot spans_with_freshness(const std::vector<std::uint64_t>& totals,
+                                  std::vector<TraceId>& ids) {
+  SpanRecorder rec;
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    const TraceId id = rec.begin_batch(0, 0);
+    rec.record_admitted(id, i + 1, 0, 1, 1, false);
+    rec.on_view_published(i + 1, totals[i]);
+    ids.push_back(id);
+  }
+  return rec.snapshot();
+}
+
+TEST(TailReport, ExemplarIsLargestSpanInItsBucket) {
+  std::vector<TraceId> ids;
+  // Same log bucket (values this close share one), different traces.
+  const SpanSnapshot snap = spans_with_freshness({1000, 1010, 1005}, ids);
+  const auto lines = exemplar_lines(format_tail_report(snap, 50.0));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find(trace_hex(ids[1])), std::string::npos) << lines[0];
+}
+
+TEST(TailReport, ExemplarTieKeepsEarliestSpan) {
+  std::vector<TraceId> ids;
+  const SpanSnapshot snap = spans_with_freshness({500, 500}, ids);
+  const auto lines = exemplar_lines(format_tail_report(snap, 50.0));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find(trace_hex(ids[0])), std::string::npos) << lines[0];
+}
+
+TEST(TailReport, ExemplarsCoverOnlyTailBuckets) {
+  std::vector<TraceId> ids;
+  const SpanSnapshot snap =
+      spans_with_freshness({100, 10'000, 1'000'000}, ids);
+  // p50 falls in 10'000's bucket: it and the 1 ms bucket are the tail,
+  // listed bucket-ascending.
+  const auto lines = exemplar_lines(format_tail_report(snap, 50.0));
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find(trace_hex(ids[1])), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find(trace_hex(ids[2])), std::string::npos) << lines[1];
+}
+
+// Once the slowest span has left the ring, its bucket's exemplar is the
+// largest span still retained there.
+TEST(TailReport, EvictedExemplarFallsBackToLargestRetainedSpan) {
+  SpanRecorder rec;
+  const TraceId slow = rec.begin_batch(0, 0);
+  rec.record_admitted(slow, 1, 0, 1, 1, false);
+  rec.on_view_published(1, 1'000'010);
+  // A ring's worth of fast spans evicts it; the last one shares its bucket.
+  TraceId retained = 0;
+  for (std::size_t i = 1; i <= kSpanHistory; ++i) {
+    const std::uint64_t t = i * 2'000'000;
+    retained = rec.begin_batch(t, t);
+    rec.record_admitted(retained, i + 1, t, 1, 1, false);
+    rec.on_view_published(i + 1, t + (i == kSpanHistory ? 1'000'000 : 10));
+  }
+  const SpanSnapshot snap = rec.snapshot();
+  ASSERT_EQ(snap.evicted, 1u);
+  ASSERT_NE(snap.spans.front().id, slow);
+  const std::string report = format_tail_report(snap, 99.0);
+  const auto lines = exemplar_lines(report);
+  ASSERT_EQ(lines.size(), 2u) << report;  // the 10 ns bucket, then the slow one
+  EXPECT_NE(lines[1].find(trace_hex(retained)), std::string::npos) << report;
+  EXPECT_NE(lines[1].find("value 1.000ms"), std::string::npos) << report;
+  EXPECT_EQ(report.find(trace_hex(slow)), std::string::npos) << report;
 }
 
 TEST(TailReport, EmptySnapshotDoesNotCrash) {

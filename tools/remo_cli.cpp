@@ -81,7 +81,7 @@ struct Args {
 // that parse their own arguments or do not exist.
 const std::vector<std::string>* known_flags(const std::string& command) {
   static const std::vector<std::string> kProf = {
-      "prof", "prof-out", "prof-shift", "prof-backend", "folded", "prof-period-us"};
+      "prof", "prof-out", "folded"};
   static const auto with_prof = [](std::vector<std::string> flags) {
     flags.insert(flags.end(), kProf.begin(), kProf.end());
     return flags;
@@ -92,15 +92,14 @@ const std::vector<std::string>* known_flags(const std::string& command) {
       {"ingest",
        with_prof({"graph", "ranks", "streams", "algo", "source", "tolerance",
                   "weights", "snapshot", "safra", "seed", "batch-size",
-                  "no-coalesce", "stats", "stats-json", "trace", "latency-sample",
-                  "lineage", "lineage-out", "lineage-sample", "watch",
-                  "metrics-out", "metrics-period", "metrics-format", "watchdog"})},
+                  "no-coalesce", "stats", "stats-json", "trace", "lineage",
+                  "lineage-out", "watch", "metrics-out", "metrics-period",
+                  "metrics-format", "watchdog"})},
       {"serve",
        with_prof({"graph", "ranks", "streams", "source", "queries", "query-threads",
                   "refresh-ms", "top-k", "safra", "seed", "gate", "gate-batch",
-                  "gate-threads", "spans", "spans-out", "span-sample",
-                  "stats-json", "trace", "metrics-out", "metrics-period",
-                  "metrics-format"})},
+                  "gate-threads", "spans", "spans-out", "stats-json", "trace",
+                  "metrics-out", "metrics-period", "metrics-format"})},
       {"trace-analyze",
        {"lineage", "top", "min-descendants", "spans", "tail", "tail-pct",
         "require-complete", "prof"}},
@@ -160,25 +159,20 @@ int usage() {
                "                [--tolerance X] [--weights MAX] [--snapshot OUT.txt] [--safra]\n"
                "                [--batch-size N] [--no-coalesce]\n"
                "                [--stats] [--stats-json FILE] [--trace FILE]\n"
-               "                [--latency-sample SHIFT]\n"
-               "                [--lineage] [--lineage-out FILE] [--lineage-sample SHIFT]\n"
+               "                [--lineage] [--lineage-out FILE]\n"
                "                [--watch] [--metrics-out FILE] [--metrics-period MS]\n"
                "                [--metrics-format jsonl|prom] [--watchdog]\n"
-               "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
-               "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
-               "                [--folded FILE] [--prof-period-us US]\n"
+               "                [--prof] [--prof-out FILE] [--folded FILE]\n"
                "  remo prof     (alias: ingest with --prof forced on)\n"
                "  remo serve    --graph FILE [--ranks N] [--streams N] [--source V]\n"
                "                [--queries N] [--query-threads T] [--refresh-ms MS]\n"
                "                [--top-k K] [--safra] [--seed S]\n"
                "                [--gate] [--gate-batch N] [--gate-threads T]\n"
-               "                [--spans] [--spans-out FILE] [--span-sample SHIFT]\n"
+               "                [--spans] [--spans-out FILE]\n"
                "                [--stats-json FILE] [--trace FILE]\n"
                "                [--metrics-out FILE] [--metrics-period MS]\n"
                "                [--metrics-format jsonl|prom]\n"
-               "                [--prof] [--prof-out FILE] [--prof-shift N]\n"
-               "                [--prof-backend auto|perf|perf_event|rusage|noop|none]\n"
-               "                [--folded FILE] [--prof-period-us US]\n"
+               "                [--prof] [--prof-out FILE] [--folded FILE]\n"
                "  remo trace-analyze --lineage FILE [--top K] [--min-descendants N]\n"
                "  remo trace-analyze --spans FILE [--tail] [--tail-pct P]\n"
                "                     [--require-complete]\n"
@@ -217,9 +211,8 @@ int usage() {
                "                     the write path (needs --gate); prints the\n"
                "                     write-to-readable freshness p50/p99\n"
                "  --spans-out FILE   write completed spans + per-stage histograms\n"
-               "                     with exemplars (remo-spans-1 JSON; implies\n"
-               "                     --spans); feed to trace-analyze --spans\n"
-               "  --span-sample N    span every 2^N-th batch (default 0 = all)\n"
+               "                     (remo-spans-1 JSON; implies --spans); feed\n"
+               "                     to trace-analyze --spans\n"
                "  --query-observer   (fuzz / fuzz-repro) run a query-issuing\n"
                "                     observer against every case while it ingests —\n"
                "                     adds serving-plane interleavings; verdicts are\n"
@@ -232,13 +225,11 @@ int usage() {
                "                     per-rank arenas got (thp | plain | heap) and\n"
                "                     their reserved / allocated bytes\n"
                "  --trace FILE       capture a chrome://tracing / Perfetto trace\n"
-               "  --latency-sample N time every 2^N-th update (default 6; 0 = all)\n"
                "\n"
                "causal lineage (docs/OBSERVABILITY.md \"Causal lineage\"):\n"
-               "  --lineage          trace sampled updates' propagation cascades\n"
+               "  --lineage          trace every 64th update's propagation cascade\n"
                "  --lineage-out FILE write the merged lineage (remo-lineage-1 JSON;\n"
                "                     implies --lineage)\n"
-               "  --lineage-sample N stamp every 2^N-th topology event (default 6)\n"
                "  trace-analyze      read a lineage dump; print amplification stats\n"
                "                     and the top-K most expensive updates with their\n"
                "                     critical paths; exit 1 when any sampled cause\n"
@@ -263,19 +254,14 @@ int usage() {
                "                     LLC loads/misses, branch misses, stalls,\n"
                "                     dTLB loads/misses, page faults) and\n"
                "                     attribute them to engine phases; prints the\n"
-               "                     per-rank x per-phase IPC / miss-rate table\n"
+               "                     per-rank x per-phase IPC / miss-rate table;\n"
+               "                     counters come from perf_event where the kernel\n"
+               "                     allows it, else getrusage (task clock +\n"
+               "                     minor/major faults), else none\n"
                "  --prof-out FILE    write the remo-prof-1 JSON snapshot (feed to\n"
                "                     trace-analyze --prof)\n"
-               "  --prof-shift N     read counters every 2^N-th phase boundary\n"
-               "                     (default 4)\n"
-               "  --prof-backend B   accepted values: auto (default; tries\n"
-               "                     perf_event, falls back to rusage, then noop),\n"
-               "                     perf or perf_event (force hardware counters),\n"
-               "                     rusage (task clock + minor/major faults via\n"
-               "                     getrusage), noop or none (disable reads)\n"
-               "  --folded FILE      sampled on-CPU profile as folded stacks\n"
-               "                     (flamegraph.pl compatible)\n"
-               "  --prof-period-us U stack sampling period (default 1000)\n"
+               "  --folded FILE      on-CPU profile sampled every 1 ms as folded\n"
+               "                     stacks (flamegraph.pl compatible)\n"
                "  trace-analyze --prof FILE [--spans FILE]\n"
                "                     re-print a prof dump's attribution tables;\n"
                "                     with --spans, join phase counters against the\n"
@@ -365,20 +351,7 @@ void apply_prof_args(const Args& a, EngineConfig& cfg) {
                     !a.str("folded").empty();
   if (!want) return;
   cfg.obs.prof = true;
-  cfg.obs.prof_sample_shift = static_cast<std::uint32_t>(
-      a.num("prof-shift", cfg.obs.prof_sample_shift));
-  const std::string backend = a.str("prof-backend", "auto");
-  if (backend == "perf" || backend == "perf_event")
-    cfg.obs.prof_backend = obs::ProfBackendKind::kPerfEvent;
-  else if (backend == "rusage")
-    cfg.obs.prof_backend = obs::ProfBackendKind::kRusage;
-  else if (backend == "noop" || backend == "none")
-    cfg.obs.prof_backend = obs::ProfBackendKind::kNoop;
-  if (!a.str("folded").empty()) {
-    cfg.obs.prof_stacks = true;
-    cfg.obs.prof_stack_period_us = static_cast<std::uint32_t>(
-        a.num("prof-period-us", cfg.obs.prof_stack_period_us));
-  }
+  cfg.obs.prof_stacks = !a.str("folded").empty();
 }
 
 /// Print the attribution tables and write the requested artefacts after a
@@ -427,12 +400,8 @@ int cmd_ingest(const Args& a) {
   const std::string stats_json = a.str("stats-json");
   const std::string trace_path = a.str("trace");
   cfg.obs.trace = !trace_path.empty();
-  cfg.obs.latency_sample_shift = static_cast<std::uint32_t>(
-      a.num("latency-sample", cfg.obs.latency_sample_shift));
   const std::string lineage_out = a.str("lineage-out");
   cfg.obs.lineage = a.flag("lineage") || !lineage_out.empty();
-  cfg.obs.lineage_sample_shift = static_cast<std::uint32_t>(
-      a.num("lineage-sample", cfg.obs.lineage_sample_shift));
   apply_prof_args(a, cfg);
   Engine engine(cfg);
 
@@ -603,9 +572,6 @@ int cmd_ingest(const Args& a) {
     if (engine.write_trace(trace_path)) {
       std::printf("trace written to %s (load in ui.perfetto.dev or "
                   "chrome://tracing)\n", trace_path.c_str());
-    } else if (!engine.tracing_enabled()) {
-      std::fprintf(stderr, "trace capture unavailable (compiled out?)\n");
-      return 1;
     } else {
       std::fprintf(stderr, "failed to write trace to %s\n", trace_path.c_str());
       return 1;
@@ -660,11 +626,7 @@ int cmd_serve(const Args& a) {
   Engine engine(cfg);
 
   std::unique_ptr<obs::SpanRecorder> spans;
-  if (want_spans) {
-    obs::SpanRecorderConfig rcfg;
-    rcfg.sample_shift = static_cast<std::uint32_t>(a.num("span-sample", 0));
-    spans = std::make_unique<obs::SpanRecorder>(rcfg);
-  }
+  if (want_spans) spans = std::make_unique<obs::SpanRecorder>();
   std::unique_ptr<serve::WriteGate> gate;  // created with the write side
 
   const VertexId source = a.num("source", edges.empty() ? 0 : edges.front().src);
@@ -841,29 +803,12 @@ int cmd_serve(const Args& a) {
   if (const std::string stats_json = a.str("stats-json"); !stats_json.empty()) {
     // The engine's remo-stats-1 document, decorated with the serving plane.
     Json doc = engine.metrics_snapshot().to_json();
-    Json sj = Json::object();
-    sj["queries_served"] = ss.queries_served;
-    sj["refreshes"] = ss.refreshes;
-    sj["served_programs"] = ss.served_programs;
-    sj["read_epoch_lag_events"] = ss.read_epoch_lag_events;
-    sj["view_age_ns"] = ss.view_age_ns;
+    Json sj = ss.to_json();
     sj["query_p50_ns"] = merged.p50();
     sj["query_p99_ns"] = merged.p99();
-    doc["serve"] = sj;
+    doc["serve"] = std::move(sj);
     doc["memory"] = engine.memory_json();
-    if (gate) {
-      const serve::WriteGateStats gs = gate->stats();
-      Json gj = Json::object();
-      gj["events_submitted"] = gs.events_submitted;
-      gj["events_dispatched"] = gs.events_dispatched;
-      gj["batches"] = gs.batches;
-      gj["waves"] = gs.waves;
-      gj["parallel_waves"] = gs.parallel_waves;
-      gj["serial_fallback_batches"] = gs.serial_fallback_batches;
-      gj["mean_wave_occupancy"] = gs.mean_wave_occupancy;
-      gj["max_wave_size"] = gs.max_wave_size;
-      doc["write_gate"] = gj;
-    }
+    if (gate) doc["write_gate"] = gate->stats().to_json();
     if (spans) {
       const obs::SpanSnapshot sn = spans->snapshot();
       Json sp = Json::object();
@@ -873,14 +818,14 @@ int cmd_serve(const Args& a) {
       sp["open"] = sn.open;
       sp["dropped_open"] = sn.dropped_open;
       Json fr = Json::object();
-      fr["p50_ns"] = sn.freshness.hist.p50();
-      fr["p90_ns"] = sn.freshness.hist.p90();
-      fr["p99_ns"] = sn.freshness.hist.p99();
-      fr["max_ns"] = sn.freshness.hist.max;
+      fr["p50_ns"] = sn.freshness.p50();
+      fr["p90_ns"] = sn.freshness.p90();
+      fr["p99_ns"] = sn.freshness.p99();
+      fr["max_ns"] = sn.freshness.max;
       sp["freshness"] = fr;
       Json stages = Json::object();
       for (std::size_t i = 0; i < obs::kWriteStageCount; ++i) {
-        const obs::HistogramSnapshot& h = sn.stages[i].hist;
+        const obs::HistogramSnapshot& h = sn.stages[i];
         Json e = Json::object();
         e["p50_ns"] = h.p50();
         e["p99_ns"] = h.p99();
@@ -909,9 +854,6 @@ int cmd_serve(const Args& a) {
     if (engine.write_trace(trace_path, std::move(extra))) {
       std::printf("trace written to %s (load in ui.perfetto.dev or "
                   "chrome://tracing)\n", trace_path.c_str());
-    } else if (!engine.tracing_enabled()) {
-      std::fprintf(stderr, "trace capture unavailable (compiled out?)\n");
-      return 1;
     } else {
       std::fprintf(stderr, "failed to write trace to %s\n", trace_path.c_str());
       return 1;
@@ -963,7 +905,7 @@ int analyze_spans(const Args& a, const std::string& path) {
     }
     std::fputs(obs::format_tail_report(snap, pct).c_str(), stdout);
   } else {
-    const obs::HistogramSnapshot& h = snap.freshness.hist;
+    const obs::HistogramSnapshot& h = snap.freshness;
     std::printf(
         "spans: %s completed of %s sampled (%s open, %s dropped)\n"
         "write-to-readable: p50 %.2f ms, p90 %.2f ms, p99 %.2f ms, max "
